@@ -4,7 +4,7 @@ budgeted selection strategies, and a GCN evaluation harness."""
 
 from .experiment import EvalReport, run_experiment, run_strategy
 from .gcn import GcnModel, TrainConfig, cross_entropy_loss, gcn_forward, predict, train
-from .graph import AttributedGraph, NormalizedAdjacency, load_graph, neighbors, propagate
+from .graph import AttributedGraph, NormalizedAdjacency, load_graph, propagate
 from .kmedoids import kmedoids
 from .metrics import accuracy, macro_f1
 from .pagerank import PageRankParams, ScoreVector, pagerank, pagerank_blocks
@@ -39,7 +39,6 @@ __all__ = [
     "kmedoids",
     "load_graph",
     "macro_f1",
-    "neighbors",
     "pagerank",
     "pagerank_blocks",
     "pagerank_select",

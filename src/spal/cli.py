@@ -12,12 +12,13 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .experiment import (
-    RUN_CSV_FIELDS,
     EvalReport,
+    RunRecord,
     aggregate_runs,
     iter_runs,
     run_strategy,
@@ -219,32 +220,24 @@ def cmd_evaluate(settings: Settings) -> int:
     g = settings.load_graph()
     out_dir = settings.out_dir()
     runs_path = out_dir / "runs.csv"
-    runs = []
-    # stream run rows to disk so an abort still leaves partial results
-    with runs_path.open("w", newline="", encoding="utf-8") as f:
-        f.write(",".join(RUN_CSV_FIELDS) + "\n")
-        f.flush()
-        try:
-            for record in iter_runs(
-                g,
-                settings.strategies(),
-                settings.budgets(),
-                settings.seeds(),
-                settings.train_config(),
-                settings.scan_params(),
-                settings.pagerank_params(),
-                jobs=settings.scalar_int("jobs"),
-            ):
-                runs.append(record)
-                row = [str(vars(record)[k]) for k in RUN_CSV_FIELDS]
-                f.write(",".join(row) + "\n")
-                f.flush()
-        except Exception as e:
-            print(f"aborted after {len(runs)} runs (partial results in {runs_path}): {e}",
-                  file=sys.stderr)
-            return 1
+    runs: list[RunRecord] = []
+
+    def collect() -> Iterator[RunRecord]:
+        for record in iter_runs(
+            g, settings.strategies(), settings.budgets(), settings.seeds(),
+            settings.train_config(), settings.scan_params(), settings.pagerank_params(),
+            jobs=settings.scalar_int("jobs"),
+        ):
+            runs.append(record)
+            yield record
+
+    try:
+        write_runs_csv(collect(), runs_path)
+    except Exception as e:
+        print(f"aborted after {len(runs)} runs (partial results in {runs_path}): {e}",
+              file=sys.stderr)
+        return 1
     aggregates = aggregate_runs(runs)
-    write_runs_csv(runs, runs_path)
     write_aggregates_csv(aggregates, out_dir / "aggregates.csv")
     EvalReport(runs=runs, aggregates=aggregates).write_json(out_dir / "report.json")
     for agg in aggregates:

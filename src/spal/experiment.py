@@ -80,11 +80,14 @@ AGG_CSV_FIELDS = [
 
 
 def write_runs_csv(runs: Iterable[RunRecord], path: str | Path) -> None:
+    """Stream rows, flushed one by one, so an aborted grid keeps its partial results."""
     with Path(path).open("w", newline="", encoding="utf-8") as f:
         writer = csv.DictWriter(f, fieldnames=RUN_CSV_FIELDS)
         writer.writeheader()
+        f.flush()
         for r in runs:
             writer.writerow({k: vars(r)[k] for k in RUN_CSV_FIELDS})
+            f.flush()
 
 
 def write_aggregates_csv(aggregates: Iterable[AggregateRecord], path: str | Path) -> None:

@@ -54,10 +54,6 @@ class AttributedGraph:
         return self.csr_targets[self.csr_offsets[v] : self.csr_offsets[v + 1]]
 
 
-def neighbors(g: AttributedGraph, v: int) -> np.ndarray:
-    return g.neighbors(v)
-
-
 def from_edges(
     edges: np.ndarray,
     features: np.ndarray,
@@ -81,6 +77,9 @@ def from_edges(
         raise GraphLoadError(
             f"row-count mismatch: {n} feature rows vs {labels.shape[0]} labels"
         )
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise GraphLoadError(f"feature row {np.argmin(finite)} holds a non-finite value")
     if labels.min() < 0:
         raise GraphLoadError("labels must be non-negative integers")
 

@@ -1,5 +1,6 @@
-"""Structural clustering: neighborhood-overlap similarity between adjacent
-nodes and community partitioning under (epsilon, mu) thresholds."""
+"""Structural clustering (SCAN): closed-neighborhood overlap similarity
+between adjacent nodes and community partitioning under (epsilon, mu)
+thresholds."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import AttributedGraph
 
@@ -42,110 +44,92 @@ class CommunityAssignment:
         return len(self.communities)
 
 
-class _UnionFind:
-    """Array-based union-find with path compression (union by size)."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+# most neighbour lookups held in memory at once; bounds SCAN's transient arrays
+_LOOKUP_CHUNK = 1 << 16
 
 
-def shared_neighbor_count(
-    g: AttributedGraph, i: int, j: int, *, closed: bool = True
-) -> int:
-    """Size of the (closed by default) neighborhood intersection of i and j."""
-    ni, nj = g.neighbors(i), g.neighbors(j)
-    if i == j:
-        return len(ni) + (1 if closed else 0)
-    common = np.intersect1d(ni, nj, assume_unique=True).size
-    if closed:
-        # closure adds i and j themselves; for adjacent pairs both count
-        common += int(np.searchsorted(nj, i) < len(nj) and nj[np.searchsorted(nj, i)] == i)
-        common += int(np.searchsorted(ni, j) < len(ni) and ni[np.searchsorted(ni, j)] == j)
-    return int(common)
+def _closed_overlap(g: AttributedGraph, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|N[i] ∩ N[j]| of closed neighborhoods for each pair (i[k], j[k]).
+
+    Each pair walks the closed neighborhood of its lower-degree end and
+    looks every member up in the other end's closed neighborhood: a member
+    u is in N[b] when u == b or the CSR key b·n + u exists. The keys
+    src·n + dst are sorted because neighbor lists are.
+    """
+    n = g.num_nodes
+    offsets, targets, deg = g.csr_offsets, g.csr_targets, g.degrees
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, deg) + targets
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    a = np.where(deg[i] <= deg[j], i, j)
+    b = i + j - a
+    ends = np.cumsum(deg[a] + 1)  # +1: the node itself closes its neighborhood
+    common = np.zeros(i.size, dtype=np.int64)
+    start = 0
+    while start < i.size:
+        done = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, done + _LOOKUP_CHUNK, side="right")), start + 1)
+        firsts = np.concatenate([[done], ends[start : stop - 1]])
+        pair = np.repeat(np.arange(stop - start), ends[start:stop] - firsts)
+        k = np.arange(done, ends[stop - 1]) - firsts[pair]  # position in a's closed row
+        pa, pb = a[start:stop][pair], b[start:stop][pair]
+        members = np.where(k == deg[pa], pa, np.take(targets, offsets[pa] + k, mode="clip"))
+        query = pb * n + members
+        found = np.take(keys, np.searchsorted(keys, query), mode="clip") == query
+        common[start:stop] = np.bincount(pair[found | (members == pb)], minlength=stop - start)
+        start = stop
+    return common
 
 
-def structural_similarity(
-    g: AttributedGraph, i: int, j: int, *, closed: bool = True
-) -> float:
-    """Shared-neighborhood overlap normalized by the geometric mean of the
-    two neighborhood sizes. Symmetric, in [0, 1], and 1 exactly when the
-    neighborhoods coincide."""
+def structural_similarity(g: AttributedGraph, i: int, j: int) -> float:
+    """Closed-neighborhood overlap normalized by the geometric mean of the
+    two closed-neighborhood sizes. Symmetric, in (0, 1], and 1 exactly when
+    the closed neighborhoods coincide."""
     for v in (i, j):
         if not 0 <= v < g.num_nodes:
             raise IndexError(f"node id {v} out of range [0, {g.num_nodes})")
-    size_i = g.degrees[i] + (1 if closed else 0)
-    size_j = g.degrees[j] + (1 if closed else 0)
-    if size_i == 0 or size_j == 0:
-        return 0.0
-    common = shared_neighbor_count(g, i, j, closed=closed)
+    common = int(_closed_overlap(g, np.array([i]), np.array([j]))[0])
+    size_i, size_j = g.degrees[i] + 1, g.degrees[j] + 1
     return common / np.sqrt(float(size_i) * float(size_j))
 
 
-def scan_partition(
-    g: AttributedGraph, params: ScanParams | None = None, *, closed: bool = True
-) -> CommunityAssignment:
+def scan_partition(g: AttributedGraph, params: ScanParams | None = None) -> CommunityAssignment:
     """Partition the graph into communities over qualifying edges.
 
     An existing edge (i, j) qualifies when S(i, j) >= epsilon and the
-    neighborhoods share at least mu nodes; communities are the connected
-    components of the qualifying-edge subgraph, and nodes incident to no
-    qualifying edge are outliers.
+    closed neighborhoods share at least mu nodes; communities are the
+    connected components of the qualifying-edge subgraph, and nodes
+    incident to no qualifying edge are outliers.
     """
+    # imported here: scipy.sparse.csgraph adds ~0.13 s to ``import spal``
+    from scipy.sparse.csgraph import connected_components
+
     params = params or ScanParams()
     n = g.num_nodes
-    uf = _UnionFind(n)
-    in_community = np.zeros(n, dtype=bool)
-    sizes = g.degrees + (1 if closed else 0)
-    # mark-array intersection: one pass over N(i) marks, then each edge
-    # (i, j) counts marked entries of N(j) in O(deg(j))
-    marked = np.zeros(n, dtype=bool)
-    for i in range(n):
-        row = g.neighbors(i)
-        marked[row] = True
-        for j in row[row > i]:  # each undirected edge once
-            j = int(j)
-            common = int(np.count_nonzero(marked[g.neighbors(j)]))
-            if closed:
-                common += 2  # i and j are adjacent, so each closure adds one
-            sim = common / np.sqrt(float(sizes[i]) * float(sizes[j]))
-            if sim >= params.epsilon and common >= params.mu:
-                uf.union(i, j)
-                in_community[i] = True
-                in_community[j] = True
-        marked[row] = False
+    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
+    upper = src < g.csr_targets  # each undirected edge once
+    i, j = src[upper], g.csr_targets[upper]
+    common = _closed_overlap(g, i, j)
+    sizes = (g.degrees + 1).astype(np.float64)
+    sim = common / np.sqrt(sizes[i] * sizes[j])
+    keep = (sim >= params.epsilon) & (common >= params.mu)
+    i, j = i[keep], j[keep]
 
-    members: dict[int, list[int]] = {}
-    for v in range(n):
-        if in_community[v]:
-            members.setdefault(uf.find(v), []).append(v)
-
-    communities = sorted(members.values(), key=lambda c: c[0])
+    members = np.unique(np.concatenate([i, j]))
+    qualifying = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+    _, component = connected_components(qualifying, directed=False)
+    # members ascend, so a component's first occurrence is its smallest member
+    _, first, inverse = np.unique(component[members], return_index=True, return_inverse=True)
     community_of = np.full(n, -1, dtype=np.int64)
-    out: list[np.ndarray] = []
-    for cid, nodes in enumerate(communities):
-        arr = np.array(nodes, dtype=np.int64)
-        community_of[arr] = cid
-        out.append(arr)
-    outliers = np.flatnonzero(~in_community).astype(np.int64)
-    return CommunityAssignment(community_of=community_of, communities=out, outliers=outliers)
+    community_of[members] = np.argsort(np.argsort(first))[inverse]
+
+    by_community = members[np.argsort(community_of[members], kind="stable")]
+    bounds = np.cumsum(np.bincount(community_of[members]))[:-1]
+    communities = np.split(by_community, bounds) if members.size else []
+    outliers = np.flatnonzero(community_of < 0).astype(np.int64)
+    return CommunityAssignment(
+        community_of=community_of, communities=communities, outliers=outliers
+    )
 
 
 def write_communities_csv(assignment: CommunityAssignment, path: str | Path) -> None:

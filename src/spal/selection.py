@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .graph import AttributedGraph, propagate
 from .kmedoids import kmedoids
-from .pagerank import PageRankParams, pagerank, pagerank_blocks
+from .pagerank import PageRankParams, ScoreVector, pagerank, pagerank_blocks
 from .scan import ScanParams, scan_partition
 
 STRATEGY_NAMES = ("spa", "random", "pagerank", "uncertainty", "featprop")
@@ -60,6 +61,22 @@ def _check_budget(b: int) -> None:
         raise ValueError(f"budget must be >= 1, got {b}")
 
 
+def _warn_unconverged(
+    params: PageRankParams, blocks: list[ScoreVector], global_sv: ScoreVector | None
+) -> None:
+    """One RuntimeWarning when any score vector stopped at the iteration cap."""
+    capped = sum(not sv.converged for sv in blocks)
+    parts = [f"{capped} of {len(blocks)} community blocks"] if capped else []
+    if global_sv is not None and not global_sv.converged:
+        parts.append("the global vector")
+    if parts:
+        warnings.warn(
+            f"PageRank hit max_iterations={params.max_iterations} before converging on "
+            f"{' and '.join(parts)}; picks rest on unconverged scores",
+            RuntimeWarning, stacklevel=3,
+        )
+
+
 def spa_select(
     g: AttributedGraph,
     scan_params: ScanParams | None = None,
@@ -83,8 +100,9 @@ def spa_select(
 
     b_eff = min(b, g.num_nodes)
     assignment = scan_partition(g, scan_params)
+    blocks = pagerank_blocks(g, assignment.communities, pr_params)
     reps: list[SelectionRecord] = []
-    for cid, sv in enumerate(pagerank_blocks(g, assignment.communities, pr_params)):
+    for cid, sv in enumerate(blocks):
         top = sv.top_node()
         score = float(sv.scores[np.searchsorted(sv.node_ids, top)])
         reps.append(SelectionRecord(node=top, community=cid, score=score))
@@ -101,14 +119,14 @@ def spa_select(
     if len(chosen) < b_eff:
         if global_sv is None:
             global_sv = pagerank(g, params=pr_params)
-        taken = {r.node for r in chosen}
-        remaining = [v for v in range(g.num_nodes) if v not in taken]
-        remaining.sort(key=lambda v: (-global_sv.scores[v], v))
-        for v in remaining[: b_eff - len(chosen)]:
+        order = np.lexsort((global_sv.node_ids, -global_sv.scores))
+        order = order[~np.isin(order, [r.node for r in chosen])]
+        for v in order[: b_eff - len(chosen)]:
             chosen.append(
-                SelectionRecord(node=v, community=-1, score=float(global_sv.scores[v]))
+                SelectionRecord(node=int(v), community=-1, score=float(global_sv.scores[v]))
             )
 
+    _warn_unconverged(pr_params, blocks, global_sv)
     chosen.sort(key=lambda r: (-r.score, r.node))
     result = SelectionResult(
         strategy="spa",
@@ -148,6 +166,7 @@ def pagerank_select(
     t0 = time.perf_counter()
     b_eff = min(b, g.num_nodes)
     sv = pagerank(g, params=pr_params)
+    _warn_unconverged(pr_params, [], sv)
     order = np.lexsort((sv.node_ids, -sv.scores))[:b_eff]
     result = SelectionResult(
         strategy="pagerank",

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spal
 from spal.cli import main
 from spal.synthetic import export_graph_files, sbm_graph
 
@@ -114,6 +119,20 @@ class TestSelect:
         files = sorted(p.name for p in tmp_path.glob("select_*.json"))
         assert len(files) == 8
         assert "query_time" in capsys.readouterr().out
+
+    def test_unconverged_pagerank_warns_on_stderr(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(spal.__file__).parent.parent))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "spal.cli", "select",
+                "--synthetic", "sbm:4,400,0.1,0.01,1.0,7", "--epsilon", "0.28",
+                "--max-iterations", "1", "--budgets", "10", "--out", str(tmp_path),
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "RuntimeWarning" in proc.stderr
+        assert "community blocks" in proc.stderr
 
 
 class TestEvaluate:

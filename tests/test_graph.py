@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spal.graph import GraphLoadError, load_graph, neighbors, propagate
+from spal.graph import GraphLoadError, from_edges, load_graph, propagate
 
 from conftest import make_graph, random_graph
 from oracles import dense_normalized_adjacency
@@ -102,6 +102,16 @@ class TestLoadGraph:
         assert np.allclose(g.features[0], [0.5, 0.5])
         assert np.allclose(g.features[1], [0.0, 0.0])  # zero row untouched
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_row(self, bad):
+        with pytest.raises(GraphLoadError, match="row 1 "):
+            from_edges([[0, 1], [1, 2]], [[1.0], [bad], [0.0]], [0, 1, 0])
+
+    def test_non_finite_feature_file(self, tmp_path):
+        paths = write_files(tmp_path, "0 1\n1 2\n", "1,2\n3,4\nnan,5\n", "0\n0\n1\n")
+        with pytest.raises(GraphLoadError, match="row 2 "):
+            load_graph(*paths)
+
     def test_arrays_read_only(self, tmp_path):
         paths = write_files(tmp_path, "0 1\n", "1\n2\n", "0\n0\n")
         g = load_graph(*paths)
@@ -111,30 +121,30 @@ class TestLoadGraph:
 
 class TestNeighbors:
     def test_triangle(self, triangle):
-        assert neighbors(triangle, 0).tolist() == [1, 2]
+        assert triangle.neighbors(0).tolist() == [1, 2]
 
     def test_path_middle(self, path3):
-        assert neighbors(path3, 1).tolist() == [0, 2]
+        assert path3.neighbors(1).tolist() == [0, 2]
 
     def test_isolated_node(self):
         g = make_graph([(0, 1)], num_nodes=3)
-        assert neighbors(g, 2).tolist() == []
+        assert g.neighbors(2).tolist() == []
 
     def test_out_of_range(self, triangle):
         with pytest.raises(IndexError):
-            neighbors(triangle, 3)
+            triangle.neighbors(3)
         with pytest.raises(IndexError):
-            neighbors(triangle, -1)
+            triangle.neighbors(-1)
 
     def test_symmetry_and_no_self(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             g = random_graph(rng, int(rng.integers(3, 25)), 0.3)
             for v in range(g.num_nodes):
-                nb = neighbors(g, v)
+                nb = g.neighbors(v)
                 assert v not in nb
                 for u in nb:
-                    assert v in neighbors(g, int(u))
+                    assert v in g.neighbors(int(u))
 
     def test_degree_sum(self):
         rng = np.random.default_rng(2)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from spal import scan
 from spal.scan import ScanParams, scan_partition, structural_similarity, write_communities_csv
 
 from conftest import make_graph, random_graph
@@ -47,9 +48,18 @@ class TestStructuralSimilarity:
         with pytest.raises(IndexError):
             structural_similarity(triangle, 0, 7)
 
-    def test_open_mode(self, path3):
-        # open neighborhoods of the endpoints are both exactly {1}
-        assert structural_similarity(path3, 0, 2, closed=False) == pytest.approx(1.0)
+    def test_all_pairs_match_closed_sets(self):
+        # every ordered pair, i == j and non-adjacent pairs included
+        rng = np.random.default_rng(14)
+        for _ in range(15):
+            g = random_graph(rng, int(rng.integers(2, 16)), float(rng.uniform(0.1, 0.6)))
+            closed = [set(g.neighbors(v).tolist()) | {v} for v in range(g.num_nodes)]
+            for i in range(g.num_nodes):
+                for j in range(g.num_nodes):
+                    expected = len(closed[i] & closed[j]) / np.sqrt(
+                        len(closed[i]) * len(closed[j])
+                    )
+                    assert structural_similarity(g, i, j) == pytest.approx(expected)
 
 
 class TestScanParams:
@@ -117,21 +127,25 @@ class TestScanPartition:
                 seen |= set(c.tolist())
             assert total == g.num_nodes
 
-    def test_open_mode_changes_partition(self, triangle):
-        # closed neighborhoods make K_3 maximally similar; open ones share
-        # only the third vertex, S = 1/2, below the threshold
-        closed = scan_partition(triangle, ScanParams(0.9, 1))
-        opened = scan_partition(triangle, ScanParams(0.9, 1), closed=False)
-        assert closed.num_communities == 1
-        assert opened.num_communities == 0
-        assert len(opened.outliers) == 3
-
     def test_matches_brute_force(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
             n = int(rng.integers(4, 50))
             g = random_graph(rng, n, float(rng.uniform(0.1, 0.5)))
             eps = float(rng.choice([0.3, 0.5, 0.7, 0.9]))
+            mu = int(rng.choice([1, 2, 3]))
+            part = scan_partition(g, ScanParams(eps, mu))
+            assert as_sets(part) == scan_brute_force(g, eps, mu)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_matches_brute_force_across_chunks(self, monkeypatch, chunk):
+        # a few lookups per chunk, so one graph's edges span many chunks
+        monkeypatch.setattr(scan, "_LOOKUP_CHUNK", chunk)
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            n = int(rng.integers(4, 30))
+            g = random_graph(rng, n, float(rng.uniform(0.1, 0.5)))
+            eps = float(rng.choice([0.3, 0.5, 0.7]))
             mu = int(rng.choice([1, 2, 3]))
             part = scan_partition(g, ScanParams(eps, mu))
             assert as_sets(part) == scan_brute_force(g, eps, mu)

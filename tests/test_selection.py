@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from spal.selection import (
     spa_select,
     uncertainty_select,
 )
+
+from spal.synthetic import sbm_graph
 
 from conftest import make_graph, random_graph
 
@@ -72,6 +75,29 @@ class TestSpaSelect:
         res = spa_select(two_triangles, ScanParams(0.5, 1), b=6)
         scores = [r.score for r in res.provenance]
         assert scores == sorted(scores, reverse=True)
+
+
+class TestConvergenceWarning:
+    def test_spa_warns_once_with_capped_block_count(self):
+        g = sbm_graph(4, 400, 0.1, 0.01, 1.0, 7)
+        with pytest.warns(RuntimeWarning, match=r"max_iterations=1 .* of \d+ community blocks") as rec:
+            spa_select(g, ScanParams(0.28, 2), PageRankParams(max_iterations=1), b=10)
+        assert len(rec) == 1
+
+    def test_spa_warns_on_global_vector(self, star5):
+        # no communities, so the picks come from the global vector alone
+        with pytest.warns(RuntimeWarning, match="on the global vector"):
+            spa_select(star5, ScanParams(0.9, 3), PageRankParams(max_iterations=1), b=2)
+
+    def test_pagerank_select_warns(self, star5):
+        with pytest.warns(RuntimeWarning, match="global vector"):
+            pagerank_select(star5, PageRankParams(max_iterations=1), b=2)
+
+    def test_converged_runs_are_silent(self, two_triangles):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spa_select(two_triangles, ScanParams(0.5, 1), b=4)
+            pagerank_select(two_triangles, b=2)
 
 
 class TestRandomSelect:
