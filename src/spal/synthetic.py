@@ -9,6 +9,12 @@ import numpy as np
 
 from .graph import AttributedGraph, from_edges
 
+# Largest total sbm_graph's per-pair arrays may take (2 GiB, n ≈ 11k nodes).
+_MAX_DENSE_BYTES = 2 * 2**30
+# Bytes per node pair: the two int64 triu indices, the float64 edge
+# probability and uniform draw, and the bool keep mask.
+_PAIR_BYTES = 33
+
 
 def sbm_graph(
     blocks: int,
@@ -25,12 +31,20 @@ def sbm_graph(
     ids are shuffled so block membership is not encoded in the id order.
     Sampling retries with an offset seed if a draw comes out edgeless.
     Pair sampling materializes the upper triangle, so this is meant for
-    desk-scale fixtures (a few thousand nodes).
+    desk-scale fixtures (a few thousand nodes); raises ValueError when the
+    per-pair arrays would exceed ``_MAX_DENSE_BYTES``.
     """
     if blocks < 1 or num_nodes < blocks:
         raise ValueError("need at least one node per block")
     if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
         raise ValueError("edge probabilities must be in [0, 1]")
+    need = _PAIR_BYTES * (num_nodes * (num_nodes - 1) // 2)
+    if need > _MAX_DENSE_BYTES:
+        raise ValueError(
+            f"sbm_graph with num_nodes={num_nodes} needs {need / 2**30:.1f} GiB of "
+            f"node-pair arrays, over the {_MAX_DENSE_BYTES / 2**30:.1f} GiB limit; "
+            "use a smaller graph"
+        )
     rng = np.random.default_rng(seed)
     labels = np.sort(np.arange(num_nodes, dtype=np.int64) % blocks)
     perm = rng.permutation(num_nodes)

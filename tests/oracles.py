@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 def dense_normalized_adjacency(g) -> np.ndarray:
@@ -98,6 +99,75 @@ def kmedoids_brute_force(points: np.ndarray, k: int) -> tuple[set[int], float]:
             best_cost = cost
             best = set(combo)
     return best, best_cost
+
+
+def pam_reference(
+    points: np.ndarray, k: int, seed: int = 0, max_swaps: int = 100
+) -> np.ndarray:
+    """PAM with a per-medoid swap loop: for every medoid, the cost change of
+    every candidate is summed over copies of the rows it owns and the rows
+    it does not. O(k·n²) per swap. Same build, tie-breaks and swap rule as
+    ``spal.kmedoids``, whose medoids must match these exactly."""
+    def tie_break(values, priority):
+        best = np.flatnonzero(values == values.min())
+        return int(best[np.argmin(priority[best])])
+
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim == 1:
+        points = points.reshape(-1, 1)
+    n = points.shape[0]
+    if k == n:
+        return np.arange(n, dtype=np.int64)
+    priority = np.random.default_rng(seed).permutation(n)
+    D = cdist(points, points)
+
+    medoids = [tie_break(D.sum(axis=1), priority)]
+    d_near = D[medoids[0]].copy()
+    while len(medoids) < k:
+        new_costs = np.minimum(D, d_near[None, :]).sum(axis=1)
+        new_costs[medoids] = np.inf
+        c = tie_break(new_costs, priority)
+        medoids.append(c)
+        np.minimum(d_near, D[c], out=d_near)
+
+    medoid_arr = np.array(medoids, dtype=np.int64)
+    for _ in range(max_swaps):
+        dist_to_medoids = D[medoid_arr]
+        order = np.argsort(dist_to_medoids, axis=0)
+        nearest_idx = order[0]
+        d_near = dist_to_medoids[nearest_idx, np.arange(n)]
+        d_second = dist_to_medoids[order[1], np.arange(n)] if k > 1 else np.full(n, np.inf)
+
+        best_delta = np.inf
+        best_pair = None
+        best_prio = np.inf
+        is_medoid = np.zeros(n, dtype=bool)
+        is_medoid[medoid_arr] = True
+        for mi in range(k):
+            owned = nearest_idx == mi
+            gain_owned = (
+                np.minimum(D[owned], d_second[owned][:, None]).sum(axis=0)
+                - d_near[owned].sum()
+            )
+            gain_other = np.minimum(D[~owned] - d_near[~owned][:, None], 0.0).sum(axis=0)
+            delta = gain_owned + gain_other
+            delta[is_medoid] = np.inf
+            ci = tie_break(delta, priority)
+            d_ci = float(delta[ci])
+            if d_ci >= -1e-12:
+                continue
+            if (
+                best_pair is None
+                or d_ci < best_delta - 1e-12
+                or (d_ci <= best_delta + 1e-12 and priority[ci] < best_prio)
+            ):
+                best_delta = d_ci
+                best_pair = (mi, ci)
+                best_prio = priority[ci]
+        if best_pair is None:
+            break
+        medoid_arr[best_pair[0]] = best_pair[1]
+    return np.sort(medoid_arr)
 
 
 def confusion_metrics(preds, truth, num_classes: int) -> tuple[float, float]:

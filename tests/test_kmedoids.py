@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import importlib
+import warnings
+
 import numpy as np
 import pytest
 
 from spal.kmedoids import kmedoids
 
-from oracles import kmedoids_brute_force
+from oracles import kmedoids_brute_force, pam_reference
+
+# the package re-exports the function under the module's name
+kmedoids_module = importlib.import_module("spal.kmedoids")
 
 
 def test_k_equals_n_returns_everything():
@@ -54,3 +60,74 @@ def test_invalid_k():
         kmedoids(pts, 0)
     with pytest.raises(ValueError):
         kmedoids(pts, 5)
+
+
+def _reference_cases(rng, count):
+    """Random (points, k, seed) cases for comparison with the per-medoid loop.
+
+    Every other case repeats m Gaussian locations 1, 2, ..., m times, so
+    copies of one point tie exactly and the seed priority must pick among
+    them. Distinct multiplicities keep two different locations from tying
+    through a balanced cluster. Such ties, like one-dimensional median
+    plateaus, are exact in real arithmetic but not in floating point, and
+    both implementations leave them to rounding.
+    """
+    for case in range(count):
+        d = int(rng.integers(2, 4))
+        if case % 2:
+            m = int(rng.integers(2, 9))
+            locations = rng.standard_normal((m, d))
+            points = rng.permutation(np.repeat(locations, np.arange(1, m + 1), axis=0))
+        else:
+            points = rng.standard_normal((int(rng.integers(2, 41)), d))
+        n = len(points)
+        k = (1, 2, max(n - 1, 1), int(rng.integers(1, n + 1)))[(case // 2) % 4]
+        yield points, k, int(rng.integers(0, 1000))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, kmedoids_module._ROW_CHUNK])
+def test_matches_per_medoid_reference_loop(monkeypatch, chunk):
+    monkeypatch.setattr(kmedoids_module, "_ROW_CHUNK", chunk)
+    for points, k, seed in _reference_cases(np.random.default_rng(0), 64):
+        expected = pam_reference(points, k, seed=seed)
+        got = kmedoids(points, k, seed=seed)
+        assert got.tolist() == expected.tolist(), (len(points), k, seed)
+
+
+def test_no_single_swap_improves():
+    rng = np.random.default_rng(4)
+    for trial in range(12):
+        n = int(rng.integers(30, 41))
+        points = rng.standard_normal((n, int(rng.integers(1, 4))))
+        if trial % 3 == 0:
+            points = points[rng.integers(0, n // 2, n)]  # duplicates
+        k = int(rng.integers(1, 8))
+        medoids = kmedoids(points, k, seed=trial)
+        D = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(-1))
+        cost = D[:, medoids].min(axis=1).sum()
+        for slot in range(k):
+            for c in np.setdiff1d(np.arange(n), medoids):
+                swapped = medoids.copy()
+                swapped[slot] = c
+                assert D[:, swapped].min(axis=1).sum() >= cost - 1e-9 * cost
+
+
+def test_swap_cap_warns_only_when_an_improving_swap_remains():
+    points = np.random.default_rng(5).standard_normal((40, 2))
+    with pytest.warns(RuntimeWarning, match="max_swaps=1"):
+        capped = kmedoids(points, 6, seed=0, max_swaps=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        converged = kmedoids(points, 6, seed=0)
+    assert capped.tolist() != converged.tolist()
+    assert capped.tolist() == pam_reference(points, 6, seed=0, max_swaps=1).tolist()
+
+
+def test_refuses_oversized_distance_matrix(monkeypatch):
+    def no_cdist(*args):
+        raise AssertionError("cdist called past the size guard")
+
+    monkeypatch.setattr(kmedoids_module, "_MAX_DENSE_BYTES", 8 * 99 * 99)
+    monkeypatch.setattr(kmedoids_module, "cdist", no_cdist)
+    with pytest.raises(ValueError, match=r"n=100 .*GiB.*subsample"):
+        kmedoids(np.zeros((100, 2)), 3)

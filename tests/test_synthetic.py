@@ -48,6 +48,14 @@ class TestSbmGraph:
         with pytest.raises(ValueError):
             sbm_graph(2, 10, 1.5, 0.1)
 
+    def test_refuses_oversized_pair_arrays(self, monkeypatch):
+        import spal.synthetic
+
+        monkeypatch.setattr(spal.synthetic, "_MAX_DENSE_BYTES", 33 * 45)
+        assert sbm_graph(2, 10, 0.5, 0.1, seed=0).num_nodes == 10  # 45 pairs fit
+        with pytest.raises(ValueError, match=r"num_nodes=11 .*GiB.*smaller graph"):
+            sbm_graph(2, 11, 0.5, 0.1, seed=0)
+
 
 class TestParseSpec:
     def test_full_spec(self):
