@@ -72,13 +72,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(model: GcnModel, op: NormalizedAdjacency, X: np.ndarray):
-    P1 = op.apply(X)
-    Z1 = P1 @ model.W0
-    H1 = np.maximum(Z1, 0.0)
-    P2 = op.apply(H1)
-    logits = P2 @ model.W1
-    return P1, Z1, H1, P2, _softmax(logits)
+def _forward(model: GcnModel, op: NormalizedAdjacency, AX: np.ndarray):
+    """Layer activations from ``AX`` = Â·X, which callers compute once per
+    graph because X is fixed."""
+    Z1 = AX @ model.W0
+    P2 = op.apply(np.maximum(Z1, 0.0))
+    return Z1, P2, _softmax(P2 @ model.W1)
 
 
 def gcn_forward(model: GcnModel, g: AttributedGraph) -> np.ndarray:
@@ -88,7 +87,7 @@ def gcn_forward(model: GcnModel, g: AttributedGraph) -> np.ndarray:
             f"model expects {model.W0.shape[0]} features, graph has {g.features.shape[1]}"
         )
     op = NormalizedAdjacency(g)
-    return _forward(model, op, g.features)[-1]
+    return _forward(model, op, op.apply(g.features))[-1]
 
 
 def cross_entropy_loss(
@@ -105,13 +104,13 @@ def cross_entropy_loss(
 def _objective_and_grads(
     model: GcnModel,
     op: NormalizedAdjacency,
-    X: np.ndarray,
+    AX: np.ndarray,
     labels: np.ndarray,
     labeled_idx: np.ndarray,
     weight_decay: float,
 ):
     """Loss (cross-entropy + 0.5 * wd * ||W||^2) and its exact gradients."""
-    P1, Z1, H1, P2, probs = _forward(model, op, X)
+    Z1, P2, probs = _forward(model, op, AX)
     loss = cross_entropy_loss(probs, labels, labeled_idx)
     loss += 0.5 * weight_decay * (np.sum(model.W0**2) + np.sum(model.W1**2))
 
@@ -122,8 +121,8 @@ def _objective_and_grads(
     gW1 = P2.T @ dZ2 + weight_decay * model.W1
     dH1 = op.apply(dZ2 @ model.W1.T)  # A_norm is symmetric
     dZ1 = dH1 * (Z1 > 0.0)
-    gW0 = P1.T @ dZ1 + weight_decay * model.W0
-    return loss, gW0, gW1, probs
+    gW0 = AX.T @ dZ1 + weight_decay * model.W0
+    return loss, gW0, gW1
 
 
 def training_objective(
@@ -132,9 +131,8 @@ def training_objective(
 ) -> float:
     """The scalar the trainer descends; exposed for finite-difference checks."""
     op = NormalizedAdjacency(g)
-    probs = _forward(model, op, g.features)[-1]
-    loss = cross_entropy_loss(probs, g.labels, labeled)
-    return loss + 0.5 * weight_decay * (np.sum(model.W0**2) + np.sum(model.W1**2))
+    idx = np.asarray(sorted(labeled), dtype=np.int64)
+    return _objective_and_grads(model, op, op.apply(g.features), g.labels, idx, weight_decay)[0]
 
 
 def gradients(
@@ -144,7 +142,9 @@ def gradients(
     """Analytic (dW0, dW1) of the training objective."""
     op = NormalizedAdjacency(g)
     idx = np.asarray(sorted(labeled), dtype=np.int64)
-    _, gW0, gW1, _ = _objective_and_grads(model, op, g.features, g.labels, idx, weight_decay)
+    _, gW0, gW1 = _objective_and_grads(
+        model, op, op.apply(g.features), g.labels, idx, weight_decay
+    )
     return gW0, gW1
 
 
@@ -171,10 +171,9 @@ def train(
 
     model = init_model(g.features.shape[1], g.num_classes, cfg)
     op = NormalizedAdjacency(g)
+    AX = op.apply(g.features)
     for epoch in range(1, cfg.epochs + 1):
-        loss, gW0, gW1, _ = _objective_and_grads(
-            model, op, g.features, g.labels, idx, cfg.weight_decay
-        )
+        loss, gW0, gW1 = _objective_and_grads(model, op, AX, g.labels, idx, cfg.weight_decay)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss {loss} at epoch {epoch} "

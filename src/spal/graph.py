@@ -4,6 +4,7 @@ and the GCN."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,56 +93,45 @@ def from_edges(
     if (edges[:, 0] == edges[:, 1]).any():
         raise GraphLoadError("self-loops must be stripped before construction")
 
-    # canonicalize as (min, max), dedup, then store both directions
-    canon = np.sort(edges, axis=1)
-    unique = np.unique(canon, axis=0)
-    dupes = canon.shape[0] - unique.shape[0]
-    m = unique.shape[0]
-    directed = np.concatenate([unique, unique[:, ::-1]], axis=0)
-    order = np.lexsort((directed[:, 1], directed[:, 0]))
-    directed = directed[order]
+    # key each undirected edge by min·n + max (exact in int64 below 3e9 nodes):
+    # a 1-D unique dedups, and one sort of both directions' keys orders the
+    # CSR by (source, target)
+    u, v = edges[:, 0], edges[:, 1]
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    lo, hi = np.divmod(keys, n)
+    src, dst = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(directed[:, 0], minlength=n), out=offsets[1:])
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
 
     return AttributedGraph(
         num_nodes=n,
-        num_edges=m,
+        num_edges=keys.size,
         csr_offsets=offsets,
-        csr_targets=np.ascontiguousarray(directed[:, 1]),
+        csr_targets=dst,
         features=features,
         labels=labels,
         num_classes=int(labels.max()) + 1,
         self_loops_dropped=self_loops_dropped,
-        duplicates_dropped=dupes,
+        duplicates_dropped=edges.shape[0] - keys.size,
     )
 
 
 def _parse_edge_file(path: Path) -> tuple[np.ndarray, int]:
-    pairs: list[tuple[int, int]] = []
-    self_loops = 0
-    with path.open("r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise GraphLoadError(
-                    f"{path}:{lineno}: expected 'u v', got {line!r}"
-                )
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise GraphLoadError(
-                    f"{path}:{lineno}: non-integer node id in {line!r}"
-                ) from None
-            if u < 0 or v < 0:
-                raise GraphLoadError(f"{path}:{lineno}: negative node id")
-            if u == v:
-                self_loops += 1
-                continue
-            pairs.append((u, v))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2), self_loops
+    try:
+        with warnings.catch_warnings():
+            # a file with no data lines reaches from_edges, which rejects the empty graph
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+    except ValueError as e:
+        raise GraphLoadError(f"{path}: non-integer node id or uneven line ({e})") from None
+    if edges.size == 0:
+        return edges.reshape(0, 2), 0
+    if edges.shape[1] != 2:
+        raise GraphLoadError(f"{path}: expected 'u v' per line, got {edges.shape[1]} ids")
+    if edges.min() < 0:
+        raise GraphLoadError(f"{path}: negative node id {edges.min()}")
+    loops = edges[:, 0] == edges[:, 1]
+    return edges[~loops], int(loops.sum())
 
 
 def load_graph(
@@ -153,12 +143,15 @@ def load_graph(
 ) -> AttributedGraph:
     """Load an attributed graph from plain-text exports.
 
-    Edge list: one ``u v`` pair per line (whitespace separated, ``#``
-    comments ignored). Features: one CSV row per node, no header. Labels:
-    one non-negative integer per line. Duplicate and reversed edges are
-    deduplicated; self-loop lines are dropped and counted in
-    ``self_loops_dropped``. With ``normalize_features`` each feature row is
-    scaled to unit L1 norm (zero rows left untouched).
+    Edge list: one ``u v`` pair per line, whitespace separated; ``#`` starts
+    a comment anywhere on a line and blank lines are skipped. A line with
+    other than two ids, an id that is not a plain decimal integer (``1.0``,
+    ``1_0``, ``0x1``), a negative id or one past int64 raises
+    ``GraphLoadError`` naming the file. Features: one CSV row per node, no
+    header. Labels: one non-negative integer per line. Duplicate and
+    reversed edges are deduplicated; self-loop lines are dropped and counted
+    in ``self_loops_dropped``. With ``normalize_features`` each feature row
+    is scaled to unit L1 norm (zero rows left untouched).
     """
     edges, self_loops = _parse_edge_file(Path(edge_list_path))
     try:
@@ -201,11 +194,6 @@ class NormalizedAdjacency:
                 f"matrix has {M.shape[0]} rows, graph has {self.graph.num_nodes} nodes"
             )
         return self._matrix @ M
-
-    def dense(self) -> np.ndarray:
-        return self._matrix.toarray()
-
-    __matmul__ = apply
 
 
 def propagate(g: AttributedGraph, M: np.ndarray, steps: int) -> np.ndarray:

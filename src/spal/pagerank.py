@@ -3,9 +3,7 @@ subgraph of a node subset, or batched over many disjoint subsets at once."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -166,12 +164,3 @@ def pagerank_blocks(
         offset += block_ids.size
     return out
 
-
-def write_scores_csv(sv: ScoreVector, path: str | Path) -> None:
-    """Write ``node_id,score`` rows sorted by descending score."""
-    order = np.lexsort((sv.node_ids, -sv.scores))
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["node_id", "score"])
-        for idx in order:
-            writer.writerow([int(sv.node_ids[idx]), repr(float(sv.scores[idx]))])

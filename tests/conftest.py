@@ -11,6 +11,17 @@ sys.path.insert(0, str(Path(__file__).parent))  # for the oracles helper
 from spal.graph import AttributedGraph, from_edges
 
 
+def pytest_collection_modifyitems(items):
+    """Any warning, an unclosed file's ResourceWarning included, fails a test in
+    this directory. Set here rather than in pyproject.toml so that
+    ``benchmarks/test_benchmark.py``, whose ``run.measure`` leaves a pipe
+    open, keeps pytest's default."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
+
+
 def make_graph(
     edges, num_nodes: int | None = None, features=None, labels=None, num_classes: int = 1
 ) -> AttributedGraph:

@@ -5,9 +5,54 @@ algebra, set arithmetic, BFS components, and exhaustive enumeration."""
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from spal.graph import GraphLoadError
+
+
+def parse_edge_file_reference(path: Path) -> tuple[np.ndarray, int]:
+    """Line-by-line edge-list parser: ``(pairs without self-loops, self-loop
+    count)``. Same accepted files and pairs as ``spal.graph``'s reader, except
+    that it rejects a ``#`` after the ids and lets an id past int64 escape as
+    ``OverflowError``."""
+    pairs: list[tuple[int, int]] = []
+    self_loops = 0
+    with path.open("r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise GraphLoadError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise GraphLoadError(
+                    f"{path}:{lineno}: non-integer node id in {line!r}"
+                ) from None
+            if u < 0 or v < 0:
+                raise GraphLoadError(f"{path}:{lineno}: negative node id")
+            if u == v:
+                self_loops += 1
+                continue
+            pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), self_loops
+
+
+def csr_reference(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Row-wise CSR build: ``(offsets, targets, num_edges, duplicates_dropped)``
+    from sorting each pair, a row-wise unique and a two-key lexsort."""
+    canon = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    unique = np.unique(canon, axis=0)
+    directed = np.concatenate([unique, unique[:, ::-1]], axis=0)
+    directed = directed[np.lexsort((directed[:, 1], directed[:, 0]))]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(directed[:, 0], minlength=n), out=offsets[1:])
+    return offsets, directed[:, 1].copy(), unique.shape[0], canon.shape[0] - unique.shape[0]
 
 
 def dense_normalized_adjacency(g) -> np.ndarray:

@@ -29,6 +29,11 @@ def graph_files(tmp_path):
 TWO_TRIANGLES = "sbm:2,6,1.0,0.0,1.0,0"  # two disjoint triangles
 
 
+def read_rows(path):
+    with path.open() as f:
+        return list(csv.DictReader(f))
+
+
 def read_selection(path):
     data = json.loads(path.read_text())
     data.pop("query_time_ms")  # wall-clock field, varies per run
@@ -46,7 +51,7 @@ class TestPartition:
         captured = capsys.readouterr().out
         assert "communities: 2" in captured
         assert "outliers: 0" in captured
-        rows = list(csv.DictReader((out / "communities.csv").open()))
+        rows = read_rows(out / "communities.csv")
         assert len(rows) == 6
         assert {r["community_id"] for r in rows} == {"0", "1"}
 
@@ -63,19 +68,28 @@ class TestPartition:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_load_failure_exit_code(self, tmp_path, capsys):
-        empty = tmp_path / "edges.txt"
-        empty.write_text("")
+    @staticmethod
+    def partition_two_nodes(tmp_path, edge_text):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(edge_text)
         feats = tmp_path / "f.csv"
         feats.write_text("1\n2\n")
         labels = tmp_path / "l.txt"
         labels.write_text("0\n0\n")
-        rc = main([
-            "partition", "--edges", str(empty), "--features", str(feats),
+        return main([
+            "partition", "--edges", str(edges), "--features", str(feats),
             "--labels", str(labels), "--out", str(tmp_path),
         ])
-        assert rc == 1
+
+    def test_load_failure_exit_code(self, tmp_path, capsys):
+        assert self.partition_two_nodes(tmp_path, "") == 1
         assert "empty graph" in capsys.readouterr().err
+
+    def test_id_past_int64_exit_code(self, tmp_path, capsys):
+        # rejected like any other malformed id, as is "1_0", which Python's
+        # int() would read as 10
+        assert self.partition_two_nodes(tmp_path, "99999999999999999999 1\n") == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestSelect:
@@ -143,8 +157,8 @@ class TestEvaluate:
             "--out", str(tmp_path),
         ])
         assert rc == 0
-        runs = list(csv.DictReader((tmp_path / "runs.csv").open()))
-        aggs = list(csv.DictReader((tmp_path / "aggregates.csv").open()))
+        runs = read_rows(tmp_path / "runs.csv")
+        aggs = read_rows(tmp_path / "aggregates.csv")
         assert len(runs) == 2 * 3 * 2
         assert len(aggs) == 6
         report = json.loads((tmp_path / "report.json").read_text())
@@ -167,7 +181,7 @@ class TestEvaluate:
             "--budgets", "4", "--out", str(out),  # flag overrides config
         ])
         assert rc == 0
-        runs = list(csv.DictReader((out / "runs.csv").open()))
+        runs = read_rows(out / "runs.csv")
         assert len(runs) == 1
         assert runs[0]["budget"] == "4"
 
@@ -225,7 +239,7 @@ class TestSweep:
             "--out", str(tmp_path),
         ])
         assert rc == 0
-        rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+        rows = read_rows(tmp_path / "sweep.csv")
         assert len(rows) == 4
         assert {(r["epsilon"], r["mu"]) for r in rows} == {
             ("0.3", "1"), ("0.3", "2"), ("0.5", "1"), ("0.5", "2"),
@@ -247,7 +261,7 @@ class TestIdempotency:
         ]
 
         def strip_timing(path):
-            rows = list(csv.DictReader(path.open()))
+            rows = read_rows(path)
             for row in rows:
                 row.pop("query_time_ms")
             return rows
@@ -282,7 +296,7 @@ class TestMoreStrategies:
         assert main([*base, "--jobs", "2", "--out", str(parallel_out)]) == 0
 
         def strip_timing(path):
-            rows = list(csv.DictReader(path.open()))
+            rows = read_rows(path)
             for row in rows:
                 row.pop("query_time_ms")
             return rows

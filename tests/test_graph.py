@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from spal.graph import GraphLoadError, from_edges, load_graph, propagate
 
 from conftest import make_graph, random_graph
-from oracles import dense_normalized_adjacency
+from oracles import csr_reference, dense_normalized_adjacency, parse_edge_file_reference
 
 
 def write_files(tmp_path, edge_text, feature_text, label_text):
@@ -72,8 +75,81 @@ class TestLoadGraph:
 
     def test_empty_edge_file(self, tmp_path):
         paths = write_files(tmp_path, "# nothing\n", "1\n2\n", "0\n0\n")
-        with pytest.raises(GraphLoadError, match="empty graph"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "no data" warning must not leak
+            with pytest.raises(GraphLoadError, match="empty graph"):
+                load_graph(*paths)
+
+    @pytest.mark.parametrize("text", [
+        "0 x\n",
+        "1.0 2\n",
+        "1_0 2\n",  # Python's int() reads this as 10; the edge reader does not
+        "0 1 2\n",
+        "0\n",
+        "0 1\n2 3 4\n",
+        "0 1\n-1 2\n",
+        "99999999999999999999 1\n",
+    ])
+    def test_rejected_edge_file_names_file(self, tmp_path, text):
+        paths = write_files(tmp_path, text, "1\n" * 12, "0\n" * 12)
+        with pytest.raises(GraphLoadError, match=re.escape(str(paths[0]))):
             load_graph(*paths)
+
+    def test_trailing_comment_accepted(self, tmp_path):
+        # "#" starts a comment anywhere on a line, not only at its start
+        paths = write_files(tmp_path, "0 1 # note\n1 2#x\n", "1\n2\n3\n", "0\n0\n0\n")
+        g = load_graph(*paths)
+        assert g.num_edges == 2
+        assert g.neighbors(1).tolist() == [0, 2]
+
+    def test_matches_line_parser_and_row_wise_csr(self, tmp_path):
+        """Random edge files with comments, blank lines, tabs, CRLF endings,
+        reversed and duplicate pairs, self-loops and isolated high ids load
+        exactly as the line parser and row-wise CSR build of
+        ``oracles`` load them; a file that parser rejects is still rejected."""
+        rng = np.random.default_rng(11)
+        bad_lines = ["0 x", "1.0 2", "0 1 2", "7", "-1 2", "3\t-4", "3 4 5"]
+        compared = 0
+        for case in range(260):
+            n = int(rng.integers(2, 30))
+            high = int(rng.integers(n, 5000)) if rng.random() < 0.3 else None
+            lines = []
+            for _ in range(int(rng.integers(1, 50))):
+                r = rng.random()
+                if r < 0.1:
+                    lines.append(str(rng.choice(["", "  ", "\t", " \t "])))
+                elif r < 0.2:
+                    lines.append(str(rng.choice(["# comment", "  # 1 2", "#0 1", "\t#"])))
+                else:
+                    u, v = (int(x) for x in rng.integers(0, n, 2))
+                    if high is not None and rng.random() < 0.2:
+                        u = high
+                    sep = str(rng.choice([" ", "\t", "   ", " \t"]))
+                    pad = str(rng.choice(["", " ", "\t"]))
+                    lines.append(f"{pad}{u}{sep}{v}{pad[::-1]}")
+            lines.append(f"0 {n - 1}" if case % 2 else f"{n - 1}\t0")  # never empty
+            if rng.random() < 0.2:
+                lines.insert(int(rng.integers(0, len(lines))), str(rng.choice(bad_lines)))
+            eol = "\r\n" if rng.random() < 0.3 else "\n"
+            num_nodes = (n if high is None else high + 1) + int(rng.integers(0, 3))
+            paths = write_files(
+                tmp_path, eol.join(lines) + eol, "1\n" * num_nodes, "0\n" * num_nodes
+            )
+            try:
+                pairs, self_loops = parse_edge_file_reference(paths[0])
+            except GraphLoadError:
+                with pytest.raises(GraphLoadError, match=re.escape(str(paths[0]))):
+                    load_graph(*paths)
+                continue
+            g = load_graph(*paths)
+            offsets, targets, num_edges, duplicates = csr_reference(pairs, num_nodes)
+            np.testing.assert_array_equal(g.csr_offsets, offsets, strict=True)
+            np.testing.assert_array_equal(g.csr_targets, targets, strict=True)
+            assert (g.num_edges, g.self_loops_dropped, g.duplicates_dropped) == (
+                num_edges, self_loops, duplicates,
+            )
+            compared += 1
+        assert compared >= 200
 
     def test_negative_label(self, tmp_path):
         paths = write_files(tmp_path, "0 1\n", "1\n2\n", "0\n-3\n")

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spal.pagerank import PageRankParams, pagerank, pagerank_blocks, write_scores_csv
+from spal.pagerank import PageRankParams, pagerank, pagerank_blocks
 
 from conftest import make_graph, random_graph
 from oracles import pagerank_dense_solve
@@ -150,13 +150,3 @@ class TestPagerankBlocks:
         with pytest.raises(ValueError, match="out-of-range"):
             pagerank_blocks(triangle, [np.array([0, 5])])
 
-
-def test_write_scores_csv(tmp_path, star5):
-    sv = pagerank(star5, params=PageRankParams(damping=0.85))
-    out = tmp_path / "scores.csv"
-    write_scores_csv(sv, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "node_id,score"
-    assert lines[1].startswith("0,")  # center first (highest score)
-    scores = [float(line.split(",")[1]) for line in lines[1:]]
-    assert scores == sorted(scores, reverse=True)
