@@ -121,6 +121,11 @@ def _parse_edge_file(path: Path) -> tuple[np.ndarray, int]:
         with warnings.catch_warnings():
             # a file with no data lines reaches from_edges, which rejects the empty graph
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # older numpy reads "1.0" or "2.7" as an int through a float with
+            # only this warning; as an error it becomes loadtxt's ValueError
+            warnings.filterwarnings(
+                "error", r"loadtxt\(\): Parsing an integer via a float", DeprecationWarning
+            )
             edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
     except ValueError as e:
         raise GraphLoadError(f"{path}: non-integer node id or uneven line ({e})") from None

@@ -95,6 +95,18 @@ class TestLoadGraph:
         with pytest.raises(GraphLoadError, match=re.escape(str(paths[0]))):
             load_graph(*paths)
 
+    @pytest.mark.parametrize("text", [
+        "1.0 2\n", "2.7 3\n", "-0.5 3\n", "nan 1\n", "1e300 1\n", "99999999999999999999 1\n",
+    ])
+    def test_float_or_overflowing_id_rejected_with_warnings_ignored(self, tmp_path, text):
+        # the rejection must not rest on warnings being errors: some numpy
+        # versions read a float token as an int with only a DeprecationWarning
+        paths = write_files(tmp_path, text, "1\n" * 4, "0\n" * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(GraphLoadError, match="non-integer node id"):
+                load_graph(*paths)
+
     def test_trailing_comment_accepted(self, tmp_path):
         # "#" starts a comment anywhere on a line, not only at its start
         paths = write_files(tmp_path, "0 1 # note\n1 2#x\n", "1\n2\n3\n", "0\n0\n0\n")
