@@ -1,4 +1,13 @@
-"""Two-layer graph convolutional network trained full-batch with Adam.
+"""Two-layer graph convolutional network trained with Adam on the labeled loss.
+
+The loss reads the output only at the labeled nodes, and a 2-layer GCN's
+output there depends only on their 2-hop receptive field: the hidden layer
+at R, the labeled nodes' closed neighbourhood, and Â·X at R. So each epoch
+touches only that field. Nothing is sampled: the loss and gradients are the
+full-graph ones, with every row summed in the same order, so the weights
+match full-batch training to the bit wherever BLAS rounds a row of a dense
+product the same way whatever the product's row count (README, ``evaluate``,
+says where that holds). Prediction is one full forward pass.
 
 Forward, analytic gradients, and the optimizer are implemented directly on
 numpy arrays so training is deterministic given the seed and the gradients
@@ -7,9 +16,12 @@ can be checked against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import AttributedGraph, NormalizedAdjacency
 
@@ -32,10 +44,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be non-negative and finite, got {self.weight_decay}"
+            )
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.hidden_units < 1:
+            raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
 
 
 @dataclass(eq=False)
@@ -72,14 +92,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(model: GcnModel, op: NormalizedAdjacency, AX: np.ndarray):
-    """Layer activations from ``AX`` = Â·X, which callers compute once per
-    graph because X is fixed."""
-    Z1 = AX @ model.W0
-    P2 = op.apply(np.maximum(Z1, 0.0))
-    return Z1, P2, _softmax(P2 @ model.W1)
-
-
 def gcn_forward(model: GcnModel, g: AttributedGraph) -> np.ndarray:
     """Class-probability matrix (num_nodes x C); every row sums to 1."""
     if model.W0.shape[0] != g.features.shape[1]:
@@ -87,41 +99,82 @@ def gcn_forward(model: GcnModel, g: AttributedGraph) -> np.ndarray:
             f"model expects {model.W0.shape[0]} features, graph has {g.features.shape[1]}"
         )
     op = NormalizedAdjacency(g)
-    return _forward(model, op, op.apply(g.features))[-1]
+    H1 = np.maximum(op.apply(g.features) @ model.W0, 0.0)
+    return _softmax(op.apply(H1) @ model.W1)
+
+
+def _labeled_index(labeled: np.ndarray | set[int], num_nodes: int) -> np.ndarray:
+    """Sorted unique int64 ids of ``labeled``; rejects an empty set, non-integer
+    ids and ids outside [0, num_nodes)."""
+    if isinstance(labeled, (set, frozenset)):
+        labeled = list(labeled)
+    ids = np.asarray(labeled)
+    if ids.size == 0:
+        raise ValueError("labeled set must be non-empty")
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"labeled node ids must be integers, got dtype {ids.dtype}")
+    idx = np.unique(ids).astype(np.int64, copy=False)
+    if idx[0] < 0 or idx[-1] >= num_nodes:
+        bad = idx[0] if idx[0] < 0 else idx[-1]
+        raise ValueError(f"labeled node id {bad} out of range [0, {num_nodes})")
+    return idx
+
+
+def _nll(p_true: np.ndarray) -> float:
+    """Summed negative log-likelihood of the true-class probabilities."""
+    return float(-np.log(np.maximum(p_true, _PROB_FLOOR)).sum())
 
 
 def cross_entropy_loss(
     probabilities: np.ndarray, labels: np.ndarray, labeled: np.ndarray | set[int]
 ) -> float:
     """Summed negative log-likelihood of the true class over labeled nodes."""
-    idx = np.asarray(sorted(labeled), dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("labeled set must be non-empty")
-    p_true = probabilities[idx, np.asarray(labels)[idx]]
-    return float(-np.log(np.maximum(p_true, _PROB_FLOOR)).sum())
+    idx = _labeled_index(labeled, probabilities.shape[0])
+    return _nll(probabilities[idx, np.asarray(labels)[idx]])
 
 
-def _objective_and_grads(
-    model: GcnModel,
-    op: NormalizedAdjacency,
-    AX: np.ndarray,
-    labels: np.ndarray,
-    labeled_idx: np.ndarray,
-    weight_decay: float,
-):
-    """Loss (cross-entropy + 0.5 * wd * ||W||^2) and its exact gradients."""
-    Z1, P2, probs = _forward(model, op, AX)
-    loss = cross_entropy_loss(probs, labels, labeled_idx)
+def _rows_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B`` with a one-row ``A`` sent through the matrix-matrix kernel, as
+    the same row of a many-row product is: numpy gives a single row to a
+    matrix-vector kernel, which rounds differently."""
+    if A.shape[0] != 1:
+        return A @ B
+    return (np.repeat(A, 2, axis=0) @ B)[:1]
+
+
+class _Field(NamedTuple):
+    """The labeled nodes' 2-hop receptive field: all that an epoch reads."""
+
+    AX: np.ndarray  # (Â·X)[R], R the labeled nodes' closed neighbourhood
+    A_idx_R: sp.csr_matrix  # Â[idx, R]
+    A_R_idx: sp.csr_matrix  # Â[R, idx], its transpose since Â is symmetric
+    y: np.ndarray  # labels[idx]
+
+
+def _receptive_field(g: AttributedGraph, idx: np.ndarray) -> _Field:
+    op = NormalizedAdjacency(g)
+    R, A_idx_R = op.receptive_block(idx)
+    return _Field(op.apply(g.features)[R], A_idx_R, A_idx_R.T.tocsr(), g.labels[idx])
+
+
+def _objective_and_grads(model: GcnModel, field: _Field, weight_decay: float):
+    """Loss (cross-entropy + 0.5 * wd * ||W||^2) and its exact gradients.
+
+    Rows outside the field contribute exact zeros to every full-graph sum,
+    so these are the full-graph values, summed in the same order.
+    """
+    Z1 = _rows_matmul(field.AX, model.W0)
+    P2 = field.A_idx_R @ np.maximum(Z1, 0.0)
+    probs = _softmax(_rows_matmul(P2, model.W1))
+    rows = np.arange(probs.shape[0])
+    loss = _nll(probs[rows, field.y])
     loss += 0.5 * weight_decay * (np.sum(model.W0**2) + np.sum(model.W1**2))
 
-    dZ2 = np.zeros_like(probs)
-    dZ2[labeled_idx] = probs[labeled_idx]
-    dZ2[labeled_idx, labels[labeled_idx]] -= 1.0
-
+    dZ2 = probs  # softmax minus the one-hot labels, in place
+    dZ2[rows, field.y] -= 1.0
     gW1 = P2.T @ dZ2 + weight_decay * model.W1
-    dH1 = op.apply(dZ2 @ model.W1.T)  # A_norm is symmetric
-    dZ1 = dH1 * (Z1 > 0.0)
-    gW0 = AX.T @ dZ1 + weight_decay * model.W0
+    dZ1 = (field.A_R_idx @ _rows_matmul(dZ2, model.W1.T)) * (Z1 > 0.0)
+    gW0 = field.AX.T @ dZ1 + weight_decay * model.W0
     return loss, gW0, gW1
 
 
@@ -130,9 +183,8 @@ def training_objective(
     weight_decay: float = 0.0,
 ) -> float:
     """The scalar the trainer descends; exposed for finite-difference checks."""
-    op = NormalizedAdjacency(g)
-    idx = np.asarray(sorted(labeled), dtype=np.int64)
-    return _objective_and_grads(model, op, op.apply(g.features), g.labels, idx, weight_decay)[0]
+    field = _receptive_field(g, _labeled_index(labeled, g.num_nodes))
+    return _objective_and_grads(model, field, weight_decay)[0]
 
 
 def gradients(
@@ -140,11 +192,8 @@ def gradients(
     weight_decay: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dW0, dW1) of the training objective."""
-    op = NormalizedAdjacency(g)
-    idx = np.asarray(sorted(labeled), dtype=np.int64)
-    _, gW0, gW1 = _objective_and_grads(
-        model, op, op.apply(g.features), g.labels, idx, weight_decay
-    )
+    field = _receptive_field(g, _labeled_index(labeled, g.num_nodes))
+    _, gW0, gW1 = _objective_and_grads(model, field, weight_decay)
     return gW0, gW1
 
 
@@ -161,19 +210,14 @@ def _adam_step(w, g, m, v, t, lr):
 def train(
     g: AttributedGraph, labeled: np.ndarray | set[int], cfg: TrainConfig | None = None
 ) -> GcnModel:
-    """Full-batch Adam on the labeled cross-entropy for cfg.epochs epochs."""
+    """Adam on the labeled cross-entropy for cfg.epochs epochs, each computed
+    on the labeled nodes' 2-hop receptive field."""
     cfg = cfg or TrainConfig()
-    idx = np.asarray(sorted(labeled), dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("labeled set must be non-empty")
-    if idx[0] < 0 or idx[-1] >= g.num_nodes:
-        raise ValueError("labeled set contains out-of-range node ids")
-
+    idx = _labeled_index(labeled, g.num_nodes)
     model = init_model(g.features.shape[1], g.num_classes, cfg)
-    op = NormalizedAdjacency(g)
-    AX = op.apply(g.features)
+    field = _receptive_field(g, idx)
     for epoch in range(1, cfg.epochs + 1):
-        loss, gW0, gW1 = _objective_and_grads(model, op, AX, g.labels, idx, cfg.weight_decay)
+        loss, gW0, gW1 = _objective_and_grads(model, field, cfg.weight_decay)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss {loss} at epoch {epoch} "

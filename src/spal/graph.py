@@ -200,6 +200,14 @@ class NormalizedAdjacency:
             )
         return self._matrix @ M
 
+    def receptive_block(self, rows: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
+        """``(R, Â[rows][:, R])`` for sorted, unique ``rows``: R is their sorted
+        closed neighbourhood, so ``(Â @ M)[rows] == Â[rows][:, R] @ M[R]``
+        with every row summed in the same order as ``apply``."""
+        block = self._matrix[rows]
+        R = np.unique(block.indices)
+        return R, block[:, R]
+
 
 def propagate(g: AttributedGraph, M: np.ndarray, steps: int) -> np.ndarray:
     """Repeatedly apply the normalized adjacency: returns A_norm^steps @ M."""

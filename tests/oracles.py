@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from spal.graph import GraphLoadError
+from spal.gcn import TrainConfig, TrainingDivergedError, _adam_step, _softmax, init_model
+from spal.graph import GraphLoadError, NormalizedAdjacency
 
 
 def parse_edge_file_reference(path: Path) -> tuple[np.ndarray, int]:
@@ -232,6 +233,47 @@ def confusion_metrics(preds, truth, num_classes: int) -> tuple[float, float]:
         recall = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1s.append(2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0)
     return float(acc), float(np.mean(f1s))
+
+
+def train_full_reference(g, labeled, cfg: TrainConfig | None = None):
+    """Full-batch trainer: every epoch runs both layers on all n nodes and
+    backpropagates an n x C gradient that is zero off the labeled rows. Same
+    initialization, Adam steps and summation order per row as ``spal.gcn.train``,
+    whose weights must match these exactly."""
+    def forward(model, op, AX):
+        Z1 = AX @ model.W0
+        P2 = op.apply(np.maximum(Z1, 0.0))
+        return Z1, P2, _softmax(P2 @ model.W1)
+
+    def objective_and_grads(model, op, AX, labels, labeled_idx, weight_decay):
+        Z1, P2, probs = forward(model, op, AX)
+        p_true = probs[labeled_idx, np.asarray(labels)[labeled_idx]]
+        loss = float(-np.log(np.maximum(p_true, 1e-12)).sum())
+        loss += 0.5 * weight_decay * (np.sum(model.W0**2) + np.sum(model.W1**2))
+
+        dZ2 = np.zeros_like(probs)
+        dZ2[labeled_idx] = probs[labeled_idx]
+        dZ2[labeled_idx, labels[labeled_idx]] -= 1.0
+
+        gW1 = P2.T @ dZ2 + weight_decay * model.W1
+        dH1 = op.apply(dZ2 @ model.W1.T)  # A_norm is symmetric
+        dZ1 = dH1 * (Z1 > 0.0)
+        gW0 = AX.T @ dZ1 + weight_decay * model.W0
+        return loss, gW0, gW1
+
+    cfg = cfg or TrainConfig()
+    idx = np.asarray(sorted(labeled), dtype=np.int64)
+    model = init_model(g.features.shape[1], g.num_classes, cfg)
+    op = NormalizedAdjacency(g)
+    AX = op.apply(g.features)
+    for epoch in range(1, cfg.epochs + 1):
+        loss, gW0, gW1 = objective_and_grads(model, op, AX, g.labels, idx, cfg.weight_decay)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite loss {loss} at epoch {epoch}")
+        model.step += 1
+        _adam_step(model.W0, gW0, model.m0, model.v0, model.step, cfg.learning_rate)
+        _adam_step(model.W1, gW1, model.m1, model.v1, model.step, cfg.learning_rate)
+    return model
 
 
 def finite_difference_grads(objective, model, step: float = 1e-5):

@@ -207,6 +207,17 @@ class TestEvaluate:
         lines = (tmp_path / "runs.csv").read_text().splitlines()
         assert lines[0].startswith("strategy,")  # header flushed before abort
 
+    def test_non_finite_lr_rejected_before_training(self, tmp_path, graph_files, capsys):
+        # nan used to pass the config check and surface only as divergence
+        rc = main([
+            "evaluate", *graph_files, "--strategy", "random",
+            "--budgets", "3", "--seeds", "0", "--lr", "nan", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "aborted after 0 runs" in err
+        assert "learning_rate must be positive and finite, got nan" in err
+
 
 class TestBenchmark:
     def test_csv_shape(self, tmp_path, graph_files):

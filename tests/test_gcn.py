@@ -17,18 +17,36 @@ from spal.gcn import (
 from spal.synthetic import sbm_graph
 
 from conftest import make_graph, random_graph
-from oracles import finite_difference_grads
+from oracles import finite_difference_grads, train_full_reference
 
 
-def labeled_random_graph(rng, n, num_classes):
-    g = random_graph(rng, n, 0.4)
+def labeled_random_graph(rng, n, num_classes, p=0.4, isolated=0):
+    """Random graph with 3 Gaussian features; its last ``isolated`` nodes have
+    no edges."""
+    g = random_graph(rng, n - isolated, p)
     features = rng.standard_normal((n, 3))
     labels = rng.integers(0, num_classes, size=n)
     labels[:num_classes] = np.arange(num_classes)  # every class present
     return make_graph(
-        [(u, int(v)) for u in range(n) for v in g.neighbors(u) if v > u],
+        [(u, int(v)) for u in range(n - isolated) for v in g.neighbors(u) if v > u],
         num_nodes=n, features=features, labels=labels,
     )
+
+
+def closed_neighbourhood(g, labeled):
+    return set(labeled).union(*(g.neighbors(u).tolist() for u in labeled))
+
+
+def assert_matches_finite_differences(model, g, labeled, wd):
+    gW0, gW1 = gradients(model, g, labeled, weight_decay=wd)
+    fd0, fd1 = finite_difference_grads(
+        lambda m: training_objective(m, g, labeled, weight_decay=wd), model
+    )
+    for analytic, numeric in ((gW0, fd0), (gW1, fd1)):
+        rel = np.abs(analytic - numeric) / np.maximum(
+            1e-6, np.maximum(np.abs(analytic), np.abs(numeric))
+        )
+        assert rel.max() < 1e-4
 
 
 class TestForward:
@@ -109,15 +127,73 @@ class TestGradients:
             model = init_model(3, num_classes, TrainConfig(hidden_units=4, seed=trial))
             labeled = set(range(0, n, 2))
             for wd in (0.0, 5e-4):
-                gW0, gW1 = gradients(model, g, labeled, weight_decay=wd)
-                fd0, fd1 = finite_difference_grads(
-                    lambda m: training_objective(m, g, labeled, weight_decay=wd), model
-                )
-                for analytic, numeric in ((gW0, fd0), (gW1, fd1)):
-                    rel = np.abs(analytic - numeric) / np.maximum(
-                        1e-6, np.maximum(np.abs(analytic), np.abs(numeric))
-                    )
-                    assert rel.max() < 1e-4
+                assert_matches_finite_differences(model, g, labeled, wd)
+
+    def test_matches_finite_differences_on_a_strict_receptive_field(self):
+        # sparse graphs and few labeled nodes, so the 2-hop field the trainer
+        # computes on leaves nodes out; the last node of each graph has no
+        # edges and is labeled in the second half of the trials
+        rng = np.random.default_rng(42)
+        for trial in range(6):
+            n = int(rng.integers(12, 17))
+            num_classes = int(rng.choice([2, 3]))
+            g = labeled_random_graph(rng, n, num_classes, p=0.12, isolated=1)
+            assert g.degrees[n - 1] == 0
+            labeled = rng.choice(n - 1, size=2, replace=False).tolist()
+            if trial >= 3:
+                labeled.append(n - 1)
+            assert len(closed_neighbourhood(g, labeled)) < n
+            model = init_model(3, num_classes, TrainConfig(hidden_units=4, seed=trial))
+            for wd in (0.0, 5e-4):
+                assert_matches_finite_differences(model, g, labeled, wd)
+
+
+class TestLabeledIds:
+    """``train``, ``gradients``, ``training_objective`` and
+    ``cross_entropy_loss`` read the labeled ids the same way."""
+
+    @pytest.fixture
+    def setting(self):
+        rng = np.random.default_rng(43)
+        g = labeled_random_graph(rng, 30, 3, p=0.15)
+        return g, init_model(3, 3, TrainConfig(hidden_units=4, seed=0))
+
+    def entry_points(self, g, model):
+        probs = gcn_forward(model, g)
+        return [
+            lambda ids: train(g, ids, TrainConfig(epochs=1)),
+            lambda ids: gradients(model, g, ids),
+            lambda ids: training_objective(model, g, ids),
+            lambda ids: cross_entropy_loss(probs, g.labels, ids),
+        ]
+
+    def test_duplicate_ids_count_once(self, setting):
+        g, model = setting
+        assert_matches_finite_differences(model, g, [1, 5, 5, 9], 0.0)
+        assert training_objective(model, g, [1, 5, 5, 9]) == training_objective(
+            model, g, [1, 5, 9]
+        )
+        probs = gcn_forward(model, g)
+        assert cross_entropy_loss(probs, g.labels, [5, 1, 5]) == cross_entropy_loss(
+            probs, g.labels, {1, 5}
+        )
+
+    @pytest.mark.parametrize("ids", [[-1], [3, -1], [100], [0, 30]])
+    def test_out_of_range_ids_rejected(self, setting, ids):
+        for entry in self.entry_points(*setting):
+            with pytest.raises(ValueError, match="out of range"):
+                entry(ids)
+
+    @pytest.mark.parametrize("ids", [[], set(), np.array([], dtype=np.int64)])
+    def test_empty_rejected(self, setting, ids):
+        for entry in self.entry_points(*setting):
+            with pytest.raises(ValueError, match="non-empty"):
+                entry(ids)
+
+    def test_non_integer_ids_rejected(self, setting):
+        for entry in self.entry_points(*setting):
+            with pytest.raises(ValueError, match="integers"):
+                entry(np.array([1.5, 2.0]))
 
 
 class TestTrain:
@@ -167,3 +243,80 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("learning_rate", -1e-2),
+        ("weight_decay", -1.0),
+        ("weight_decay", float("nan")),
+        ("weight_decay", float("inf")),
+        ("hidden_units", 0),
+        ("epochs", 0),
+    ])
+    def test_config_rejects_bad_value_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_config_accepts_zero_weight_decay(self):
+        assert TrainConfig(weight_decay=0.0, hidden_units=1).weight_decay == 0.0
+
+
+class TestReceptiveFieldTraining:
+    """``train`` computes each epoch on the labeled nodes' 2-hop field only,
+    and must give the full-batch trainer's weights bit for bit."""
+
+    def assert_same_as_full_batch(self, g, labeled, cfg):
+        model = train(g, labeled, cfg)
+        reference = train_full_reference(g, labeled, cfg)
+        assert np.array_equal(model.W0, reference.W0)
+        assert np.array_equal(model.W1, reference.W1)
+        assert np.array_equal(predict(model, g), predict(reference, g))
+
+    def test_matches_full_batch_on_random_graphs(self):
+        rng = np.random.default_rng(44)
+        for trial in range(12):
+            n = int(rng.integers(20, 41))
+            # sparse draws leave several components; the last nodes have no edges
+            g = labeled_random_graph(
+                rng, n, int(rng.choice([4, 5])), p=float(rng.choice([0.04, 0.1, 0.3])),
+                isolated=int(rng.integers(1, 4)),
+            )
+            b = [1, n, int(rng.integers(2, n))][trial % 3]
+            picks = rng.choice(n, size=b, replace=False)
+            if trial % 2 and b < n:
+                picks[0] = n - 1  # an isolated labeled node
+            labeled = [set(picks.tolist()), picks.tolist(), picks][trial % 4 % 3]
+            cfg = TrainConfig(epochs=60, weight_decay=[5e-4, 0.0][trial % 2], seed=trial)
+            self.assert_same_as_full_batch(g, labeled, cfg)
+
+    def test_matches_full_batch_across_components(self):
+        # triangles {0,1,2} and {3,4,5}, the path 6-7, isolated nodes 8 and 9
+        rng = np.random.default_rng(45)
+        g = make_graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)],
+                       num_nodes=10, features=rng.standard_normal((10, 3)),
+                       labels=[0, 1, 2, 3, 0, 1, 2, 3, 0, 1])
+        for labeled in ({9}, {1, 4}, [7, 0, 8], np.array([9, 5, 3, 6]), list(range(10))):
+            self.assert_same_as_full_batch(g, labeled, TrainConfig(seed=1))
+
+    def test_matches_full_batch_on_an_sbm(self):
+        g = sbm_graph(4, 400, 0.1, 0.01, feature_snr=1.0, seed=7)
+        picks = np.random.default_rng(46).choice(400, size=20, replace=False)
+        self.assert_same_as_full_batch(g, picks, TrainConfig(seed=3))
+
+    def test_two_and_three_classes_agree_to_rounding(self):
+        # with fewer than 4 output columns the bundled BLAS may round a row of
+        # P2 @ W1 differently in a |idx|-row product than in the n-row one;
+        # with every node labeled both products are the same
+        rng = np.random.default_rng(47)
+        for trial in range(6):
+            n = int(rng.integers(20, 41))
+            g = labeled_random_graph(rng, n, 2 + trial % 2, p=0.1, isolated=1)
+            picks = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            cfg = TrainConfig(seed=trial)
+            model = train(g, picks, cfg)
+            reference = train_full_reference(g, picks, cfg)
+            for W, ref in ((model.W0, reference.W0), (model.W1, reference.W1)):
+                assert np.allclose(W, ref, rtol=1e-10, atol=1e-12)
+            assert np.array_equal(predict(model, g), predict(reference, g))
+            self.assert_same_as_full_batch(g, np.arange(n), cfg)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spal.graph import GraphLoadError, from_edges, load_graph, propagate
+from spal.graph import GraphLoadError, NormalizedAdjacency, from_edges, load_graph, propagate
 
 from conftest import make_graph, random_graph
 from oracles import csr_reference, dense_normalized_adjacency, parse_edge_file_reference
@@ -281,3 +281,27 @@ class TestPropagate:
         g = random_graph(rng, 8, 0.4)
         dense = dense_normalized_adjacency(g)
         assert np.abs(dense - dense.T).max() < 1e-12
+
+
+class TestReceptiveBlock:
+    def test_rows_of_the_product_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for trial in range(20):
+            n = int(rng.integers(5, 30))
+            g = random_graph(rng, n, float(rng.choice([0.05, 0.2, 0.5])))
+            op = NormalizedAdjacency(g)
+            rows = np.unique(rng.choice(n, size=int(rng.integers(1, n + 1))))
+            R, block = op.receptive_block(rows)
+            closed = set(rows.tolist()).union(*(g.neighbors(int(u)).tolist() for u in rows))
+            assert R.tolist() == sorted(closed)
+            assert block.shape == (rows.size, R.size)
+            dense = dense_normalized_adjacency(g)
+            assert np.abs(block.toarray() - dense[np.ix_(rows, R)]).max() < 1e-15
+            M = rng.standard_normal((n, 4))
+            assert np.array_equal(block @ M[R], op.apply(M)[rows])
+            # Â is symmetric to the bit, so the block's transpose is Â[R, rows]:
+            # the backward pass through rows that are zero off ``rows``
+            X = rng.standard_normal((rows.size, 4))
+            Z = np.zeros((n, 4))
+            Z[rows] = X
+            assert np.array_equal(block.T.tocsr() @ X, op.apply(Z)[R])
