@@ -29,7 +29,7 @@ from .gcn import TrainConfig
 from .graph import AttributedGraph, GraphLoadError, load_graph
 from .pagerank import PageRankParams
 from .scan import ScanParams, scan_partition, write_communities_csv
-from .selection import STRATEGY_NAMES
+from .selection import check_strategies
 from .synthetic import parse_synthetic_spec
 
 _DEFAULTS = {
@@ -118,21 +118,17 @@ class Settings:
             max_iterations=self.scalar_int("max_iterations"),
         )
 
-    def train_config(self, seed: int = 0) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
+        """The GCN settings; each run supplies its own seed."""
         return TrainConfig(
             learning_rate=self.scalar_float("lr"),
             weight_decay=self.scalar_float("weight_decay"),
             epochs=self.scalar_int("epochs"),
-            seed=seed,
         )
 
     def strategies(self) -> list[str]:
         names = [s.strip() for s in self.require("strategy").split(",") if s.strip()]
-        for name in names:
-            if name not in STRATEGY_NAMES:
-                raise CliError(
-                    f"unknown strategy {name!r}; valid strategies: {', '.join(STRATEGY_NAMES)}"
-                )
+        check_strategies(names)
         if not names:
             raise CliError("--strategy must name at least one strategy")
         return names
@@ -200,12 +196,12 @@ def cmd_select(settings: Settings) -> int:
     out_dir = settings.out_dir()
     scan_params = settings.scan_params()
     pr_params = settings.pagerank_params()
+    train_cfg = settings.train_config()
     for strategy in settings.strategies():
         for budget in settings.budgets():
             for seed in settings.seeds():
                 result = run_strategy(
-                    strategy, g, budget, seed, scan_params, pr_params,
-                    settings.train_config(seed),
+                    strategy, g, budget, seed, scan_params, pr_params, train_cfg
                 )
                 path = out_dir / f"select_{strategy}_b{budget}_s{seed}.json"
                 result.write_json(path)
@@ -218,16 +214,18 @@ def cmd_select(settings: Settings) -> int:
 
 def cmd_evaluate(settings: Settings) -> int:
     g = settings.load_graph()
+    # a bad setting or plan raises here, before runs.csv is opened
+    records = iter_runs(
+        g, settings.strategies(), settings.budgets(), settings.seeds(),
+        settings.train_config(), settings.scan_params(), settings.pagerank_params(),
+        jobs=settings.scalar_int("jobs"),
+    )
     out_dir = settings.out_dir()
     runs_path = out_dir / "runs.csv"
     runs: list[RunRecord] = []
 
     def collect() -> Iterator[RunRecord]:
-        for record in iter_runs(
-            g, settings.strategies(), settings.budgets(), settings.seeds(),
-            settings.train_config(), settings.scan_params(), settings.pagerank_params(),
-            jobs=settings.scalar_int("jobs"),
-        ):
+        for record in records:
             runs.append(record)
             yield record
 
@@ -253,20 +251,18 @@ def cmd_evaluate(settings: Settings) -> int:
 def cmd_benchmark(settings: Settings) -> int:
     g = settings.load_graph()
     out_dir = settings.out_dir()
-    budget = settings.budgets()[0]
+    budget = settings.scalar_int("budgets")
     repetitions = settings.scalar_int("repetitions")
     if repetitions < 1:
         raise CliError("--repetitions must be >= 1")
     scan_params = settings.scan_params()
     pr_params = settings.pagerank_params()
+    train_cfg = settings.train_config()
     rows = []
     for strategy in settings.strategies():
         times = []
         for rep in range(repetitions):
-            result = run_strategy(
-                strategy, g, budget, rep, scan_params, pr_params,
-                settings.train_config(rep),
-            )
+            result = run_strategy(strategy, g, budget, rep, scan_params, pr_params, train_cfg)
             times.append(result.query_time_ms)
         median = float(np.median(times))
         p95 = float(np.percentile(times, 95))

@@ -5,10 +5,10 @@ and budget."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -20,8 +20,9 @@ from .metrics import accuracy, macro_f1
 from .pagerank import PageRankParams
 from .scan import ScanParams
 from .selection import (
-    STRATEGY_NAMES,
     SelectionResult,
+    Stopwatch,
+    check_strategies,
     featprop_select,
     pagerank_select,
     random_select,
@@ -71,31 +72,24 @@ class EvalReport:
             f.write("\n")
 
 
-RUN_CSV_FIELDS = ["strategy", "budget", "seed", "accuracy", "macro_f1", "query_time_ms"]
-AGG_CSV_FIELDS = [
-    "strategy", "budget", "num_seeds",
-    "accuracy_mean", "accuracy_std", "macro_f1_mean", "macro_f1_std",
-    "query_time_ms_mean",
-]
-
-
-def write_runs_csv(runs: Iterable[RunRecord], path: str | Path) -> None:
-    """Stream rows, flushed one by one, so an aborted grid keeps its partial results."""
+def _write_csv(records: Iterable, record_type: type, path: str | Path) -> None:
+    """One row per record, columns named after the dataclass fields; every row
+    is flushed as written, so an aborted grid keeps its partial results."""
     with Path(path).open("w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=RUN_CSV_FIELDS)
+        writer = csv.DictWriter(f, fieldnames=[fld.name for fld in fields(record_type)])
         writer.writeheader()
         f.flush()
-        for r in runs:
-            writer.writerow({k: vars(r)[k] for k in RUN_CSV_FIELDS})
+        for r in records:
+            writer.writerow(vars(r))
             f.flush()
 
 
+def write_runs_csv(runs: Iterable[RunRecord], path: str | Path) -> None:
+    _write_csv(runs, RunRecord, path)
+
+
 def write_aggregates_csv(aggregates: Iterable[AggregateRecord], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=AGG_CSV_FIELDS)
-        writer.writeheader()
-        for a in aggregates:
-            writer.writerow({k: vars(a)[k] for k in AGG_CSV_FIELDS})
+    _write_csv(aggregates, AggregateRecord, path)
 
 
 def run_strategy(
@@ -113,33 +107,25 @@ def run_strategy(
     ignore it for selection). The uncertainty baseline scores nodes with a
     freshly initialized (untrained) model seeded per run, matching a
     cold-start querying round where no labels exist yet; its query time
-    covers the forward pass.
+    covers the model init, the forward pass and the entropy ranking.
     """
+    check_strategies([name])
     if name == "spa":
         result = spa_select(g, scan_params, pr_params, b)
-        result.seed = seed
-        return result
-    if name == "random":
-        return random_select(g, b, seed)
-    if name == "pagerank":
+    elif name == "random":
+        result = random_select(g, b, seed)
+    elif name == "pagerank":
         result = pagerank_select(g, pr_params, b)
-        result.seed = seed
-        return result
-    if name == "featprop":
-        return featprop_select(g, steps=FEATPROP_STEPS, b=b, seed=seed)
-    if name == "uncertainty":
-        cfg = train_cfg or gcn.TrainConfig()
-        t0 = time.perf_counter()
-        model = gcn.init_model(
-            g.features.shape[1], g.num_classes,
-            gcn.TrainConfig(hidden_units=cfg.hidden_units, seed=seed),
-        )
-        probs = gcn.gcn_forward(model, g)
-        result = uncertainty_select(probs, labeled=set(), b=b)
-        result.seed = seed
-        result.query_time_ms = (time.perf_counter() - t0) * 1000.0
-        return result
-    raise ValueError(f"unknown strategy {name!r}; valid: {', '.join(STRATEGY_NAMES)}")
+    elif name == "featprop":
+        result = featprop_select(g, steps=FEATPROP_STEPS, b=b, seed=seed)
+    else:
+        cfg = replace(train_cfg or gcn.TrainConfig(), seed=seed)
+        with Stopwatch() as sw:
+            model = gcn.init_model(g.features.shape[1], g.num_classes, cfg)
+            result = uncertainty_select(gcn.gcn_forward(model, g), labeled=set(), b=b)
+        result.query_time_ms = sw.ms
+    result.seed = seed
+    return result
 
 
 def run_single(
@@ -154,14 +140,7 @@ def run_single(
     """One (strategy, budget, seed) run: select, train, evaluate on the rest."""
     selection = run_strategy(strategy, g, budget, seed, scan_params, pr_params, cfg)
     selected = np.asarray(selection.selected, dtype=np.int64)
-    run_cfg = gcn.TrainConfig(
-        learning_rate=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        epochs=cfg.epochs,
-        hidden_units=cfg.hidden_units,
-        seed=seed,
-    )
-    model = gcn.train(g, selected, run_cfg)
+    model = gcn.train(g, selected, replace(cfg, seed=seed))
     preds = gcn.predict(model, g)
     eval_set = np.setdiff1d(np.arange(g.num_nodes, dtype=np.int64), selected)
     return RunRecord(
@@ -174,19 +153,10 @@ def run_single(
     )
 
 
-def _combos(strategies, budgets, seeds):
-    for strategy in strategies:
-        for budget in budgets:
-            for seed in seeds:
-                yield strategy, budget, seed
-
-
 def _validate_plan(g, strategies, budgets, seeds):
     if not strategies or not budgets or not seeds:
         raise ValueError("strategies, budgets, and seeds must be non-empty")
-    for s in strategies:
-        if s not in STRATEGY_NAMES:
-            raise ValueError(f"unknown strategy {s!r}; valid: {', '.join(STRATEGY_NAMES)}")
+    check_strategies(strategies)
     for b in budgets:
         if not 1 <= b <= g.num_nodes:
             raise ValueError(f"budget {b} outside [1, {g.num_nodes}]")
@@ -202,16 +172,20 @@ def iter_runs(
     pr_params: PageRankParams | None = None,
     jobs: int = 1,
 ) -> Iterator[RunRecord]:
-    """Yield run records in deterministic (strategy, budget, seed) order.
+    """Run records in deterministic (strategy, budget, seed) order.
 
-    Each run's seed drives both its selection RNG and the model init
-    (``cfg.seed`` is superseded per run). With jobs > 1 the independent
-    runs execute on a process pool; results are still yielded in plan
-    order.
+    The plan is validated on the call, before any run starts; the runs
+    happen as the returned iterator is consumed. Each run's seed drives both
+    its selection RNG and the model init (``cfg.seed`` is superseded per
+    run). With jobs > 1 the independent runs execute on a process pool;
+    results are still yielded in plan order.
     """
-    cfg = cfg or gcn.TrainConfig()
     _validate_plan(g, strategies, budgets, seeds)
-    plan = list(_combos(strategies, budgets, seeds))
+    plan = list(itertools.product(strategies, budgets, seeds))
+    return _run_plan(g, plan, cfg or gcn.TrainConfig(), scan_params, pr_params, jobs)
+
+
+def _run_plan(g, plan, cfg, scan_params, pr_params, jobs) -> Iterator[RunRecord]:
     if jobs <= 1:
         for strategy, budget, seed in plan:
             yield run_single(strategy, g, budget, seed, cfg, scan_params, pr_params)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import AttributedGraph, NormalizedAdjacency
+from .graph import AttributedGraph, NormalizedAdjacency, node_index
 
 _PROB_FLOOR = 1e-12
 _ADAM_BETA1 = 0.9
@@ -103,23 +103,6 @@ def gcn_forward(model: GcnModel, g: AttributedGraph) -> np.ndarray:
     return _softmax(op.apply(H1) @ model.W1)
 
 
-def _labeled_index(labeled: np.ndarray | set[int], num_nodes: int) -> np.ndarray:
-    """Sorted unique int64 ids of ``labeled``; rejects an empty set, non-integer
-    ids and ids outside [0, num_nodes)."""
-    if isinstance(labeled, (set, frozenset)):
-        labeled = list(labeled)
-    ids = np.asarray(labeled)
-    if ids.size == 0:
-        raise ValueError("labeled set must be non-empty")
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ValueError(f"labeled node ids must be integers, got dtype {ids.dtype}")
-    idx = np.unique(ids).astype(np.int64, copy=False)
-    if idx[0] < 0 or idx[-1] >= num_nodes:
-        bad = idx[0] if idx[0] < 0 else idx[-1]
-        raise ValueError(f"labeled node id {bad} out of range [0, {num_nodes})")
-    return idx
-
-
 def _nll(p_true: np.ndarray) -> float:
     """Summed negative log-likelihood of the true-class probabilities."""
     return float(-np.log(np.maximum(p_true, _PROB_FLOOR)).sum())
@@ -129,7 +112,7 @@ def cross_entropy_loss(
     probabilities: np.ndarray, labels: np.ndarray, labeled: np.ndarray | set[int]
 ) -> float:
     """Summed negative log-likelihood of the true class over labeled nodes."""
-    idx = _labeled_index(labeled, probabilities.shape[0])
+    idx = node_index(labeled, probabilities.shape[0], "labeled")
     return _nll(probabilities[idx, np.asarray(labels)[idx]])
 
 
@@ -183,7 +166,7 @@ def training_objective(
     weight_decay: float = 0.0,
 ) -> float:
     """The scalar the trainer descends; exposed for finite-difference checks."""
-    field = _receptive_field(g, _labeled_index(labeled, g.num_nodes))
+    field = _receptive_field(g, node_index(labeled, g.num_nodes, "labeled"))
     return _objective_and_grads(model, field, weight_decay)[0]
 
 
@@ -192,7 +175,7 @@ def gradients(
     weight_decay: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dW0, dW1) of the training objective."""
-    field = _receptive_field(g, _labeled_index(labeled, g.num_nodes))
+    field = _receptive_field(g, node_index(labeled, g.num_nodes, "labeled"))
     _, gW0, gW1 = _objective_and_grads(model, field, weight_decay)
     return gW0, gW1
 
@@ -213,7 +196,7 @@ def train(
     """Adam on the labeled cross-entropy for cfg.epochs epochs, each computed
     on the labeled nodes' 2-hop receptive field."""
     cfg = cfg or TrainConfig()
-    idx = _labeled_index(labeled, g.num_nodes)
+    idx = node_index(labeled, g.num_nodes, "labeled")
     model = init_model(g.features.shape[1], g.num_classes, cfg)
     field = _receptive_field(g, idx)
     for epoch in range(1, cfg.epochs + 1):

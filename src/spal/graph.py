@@ -55,6 +55,28 @@ class AttributedGraph:
         return self.csr_targets[self.csr_offsets[v] : self.csr_offsets[v + 1]]
 
 
+def node_index(
+    ids, num_nodes: int, what: str, *, allow_empty: bool = False
+) -> np.ndarray:
+    """Sorted unique int64 node ids; rejects non-integer ids, ids outside
+    [0, num_nodes) and, unless ``allow_empty``, an empty set. ``what`` names
+    the set in the error message."""
+    if isinstance(ids, (set, frozenset)):
+        ids = list(ids)
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        if allow_empty:
+            return np.empty(0, dtype=np.int64)
+        raise ValueError(f"{what} set must be non-empty")
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"{what} node ids must be integers, got dtype {ids.dtype}")
+    idx = np.unique(ids).astype(np.int64, copy=False)
+    if idx[0] < 0 or idx[-1] >= num_nodes:
+        bad = idx[0] if idx[0] < 0 else idx[-1]
+        raise ValueError(f"{what} node id {bad} out of range [0, {num_nodes})")
+    return idx
+
+
 def from_edges(
     edges: np.ndarray,
     features: np.ndarray,

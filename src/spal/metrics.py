@@ -4,20 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _eval_idx(eval_set) -> np.ndarray:
-    idx = np.asarray(sorted(eval_set), dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("eval set must be non-empty")
-    return idx
+from .graph import node_index
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray, eval_set) -> float:
     """Fraction of eval-set nodes whose predicted class matches the label."""
-    idx = _eval_idx(eval_set)
-    predictions = np.asarray(predictions)
     labels = np.asarray(labels)
-    return float(np.mean(predictions[idx] == labels[idx]))
+    idx = node_index(eval_set, labels.shape[0], "eval")
+    return float(np.mean(np.asarray(predictions)[idx] == labels[idx]))
 
 
 def macro_f1(
@@ -29,9 +23,10 @@ def macro_f1(
     precision + recall is 0, so classes absent from the eval set contribute
     a zero term.
     """
-    idx = _eval_idx(eval_set)
+    labels = np.asarray(labels)
+    idx = node_index(eval_set, labels.shape[0], "eval")
     preds = np.asarray(predictions)[idx]
-    truth = np.asarray(labels)[idx]
+    truth = labels[idx]
     f1_sum = 0.0
     for c in range(num_classes):
         tp = np.sum((preds == c) & (truth == c))

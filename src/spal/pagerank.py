@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AttributedGraph
+from .graph import AttributedGraph, node_index
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,7 @@ def pagerank(
     if subset is None:
         ids = np.arange(g.num_nodes, dtype=np.int64)
     else:
-        ids = np.unique(np.asarray(subset, dtype=np.int64))
-        if ids.size == 0:
-            raise ValueError("subset must be non-empty")
-        if ids[0] < 0 or ids[-1] >= g.num_nodes:
-            raise ValueError("subset contains out-of-range node ids")
+        ids = node_index(subset, g.num_nodes, "subgraph")
     scores, iterations, converged = _block_power_iterate(g, [ids], params)
     return ScoreVector(
         node_ids=ids,
@@ -143,13 +139,12 @@ def pagerank_blocks(
     params = params or PageRankParams()
     if not blocks:
         return []
-    ids = [np.unique(np.asarray(b, dtype=np.int64)) for b in blocks]
-    cat = np.concatenate(ids)
-    if cat.size == 0 or any(b.size == 0 for b in ids):
+    if any(len(b) == 0 for b in blocks):
         raise ValueError("blocks must be non-empty")
-    if cat.min() < 0 or cat.max() >= g.num_nodes:
-        raise ValueError("blocks contain out-of-range node ids")
-    if np.unique(cat).size != cat.size:
+    # ids are checked once over all blocks: a partition can hold 1e4+ of them
+    distinct = node_index(np.concatenate(blocks), g.num_nodes, "block").size
+    ids = [np.unique(np.asarray(b, dtype=np.int64)) for b in blocks]
+    if sum(b.size for b in ids) != distinct:
         raise ValueError("blocks must be disjoint")
     scores, iterations, converged = _block_power_iterate(g, ids, params)
     out = []

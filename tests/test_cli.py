@@ -215,8 +215,23 @@ class TestEvaluate:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "aborted after 0 runs" in err
-        assert "learning_rate must be positive and finite, got nan" in err
+        assert err.startswith("error: learning_rate must be positive and finite, got nan")
+        assert not (tmp_path / "runs.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--epsilon", "2"], "error: epsilon must be in [0, 1], got 2.0"),
+        (["--budgets", "999"], "error: budget 999 outside [1, 30]"),
+    ])
+    def test_bad_setting_rejected_before_runs_csv(
+        self, tmp_path, graph_files, capsys, flags, message
+    ):
+        rc = main([
+            "evaluate", *graph_files, "--strategy", "random", "--budgets", "3",
+            "--seeds", "0", *flags, "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "runs.csv").exists()
 
 
 class TestBenchmark:
@@ -232,6 +247,15 @@ class TestBenchmark:
         for line in lines[1:]:
             name, median, p95 = line.split(",")
             assert float(median) <= float(p95) + 1e-9
+
+    def test_one_budget_only(self, tmp_path, graph_files, capsys):
+        rc = main([
+            "benchmark", *graph_files, "--strategy", "random",
+            "--budgets", "5,10", "--repetitions", "1", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "--budgets expects a single value" in capsys.readouterr().err
+        assert not (tmp_path / "benchmark.csv").exists()
 
     def test_single_repetition(self, tmp_path, graph_files):
         rc = main([

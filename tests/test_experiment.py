@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spal.experiment import aggregate_runs, run_experiment, run_strategy
+import spal.experiment
+import spal.selection
+from spal.experiment import aggregate_runs, iter_runs, run_experiment, run_strategy
 from spal.gcn import TrainConfig
 from spal.scan import ScanParams
 from spal.synthetic import sbm_graph
@@ -40,6 +42,39 @@ class TestRunStrategy:
         a = run_strategy("uncertainty", small_sbm, 5, seed=2, train_cfg=FAST)
         b = run_strategy("uncertainty", small_sbm, 5, seed=2, train_cfg=FAST)
         assert a.selected == b.selected
+
+
+def test_dispatch_goes_through_module_attributes(small_sbm, monkeypatch):
+    """Instrumentation that replaces these module attributes sees every call:
+    each run calls its strategy once through ``spal.experiment``, and the
+    strategies reach the pipeline stages through ``spal.selection``."""
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    strategies = ["spa", "random", "pagerank", "uncertainty", "featprop"]
+    for name in ["spa_select", "random_select", "pagerank_select", "uncertainty_select",
+                 "featprop_select"]:
+        count(spal.experiment, name)
+    for name in ["scan_partition", "pagerank_blocks", "pagerank", "propagate", "kmedoids"]:
+        count(spal.selection, name)
+
+    budgets, seeds = [2, 3], [0, 1]
+    runs = list(iter_runs(small_sbm, strategies, budgets, seeds, FAST, ScanParams(0.3, 2)))
+    per_strategy = len(budgets) * len(seeds)
+    assert len(runs) == len(strategies) * per_strategy
+    for name in strategies:
+        assert calls[f"{name}_select"] == per_strategy, name
+    assert calls["scan_partition"] == calls["pagerank_blocks"] == per_strategy
+    assert calls["propagate"] == calls["kmedoids"] == per_strategy
+    assert calls["pagerank"] >= per_strategy  # spa adds global calls to pagerank's own
 
 
 class TestRunExperiment:

@@ -33,6 +33,34 @@ class TestAccuracy:
             accuracy(np.array([0]), np.array([0]), set())
 
 
+class TestEvalSetIds:
+    """Both metrics read the eval set through one node-id check."""
+
+    PREDS = np.array([0, 1, 0])
+    LABELS = np.array([0, 1, 1])
+    METRICS = [
+        lambda p, l, ids: accuracy(p, l, ids),
+        lambda p, l, ids: macro_f1(p, l, ids, 3),
+    ]
+
+    @pytest.mark.parametrize("metric", METRICS, ids=["accuracy", "macro_f1"])
+    def test_duplicates_count_once(self, metric):
+        assert metric(self.PREDS, self.LABELS, [0, 0, 0, 2]) == metric(
+            self.PREDS, self.LABELS, [0, 2]
+        )
+
+    @pytest.mark.parametrize("metric", METRICS, ids=["accuracy", "macro_f1"])
+    @pytest.mark.parametrize("ids", [[-1], [5], [0, 3]])
+    def test_out_of_range_rejected(self, metric, ids):
+        with pytest.raises(ValueError, match="eval node id .* out of range"):
+            metric(self.PREDS, self.LABELS, ids)
+
+    @pytest.mark.parametrize("metric", METRICS, ids=["accuracy", "macro_f1"])
+    def test_float_ids_rejected(self, metric):
+        with pytest.raises(ValueError, match="integers"):
+            metric(self.PREDS, self.LABELS, [1.5])
+
+
 class TestMacroF1:
     def test_perfect_all_classes_present(self):
         labels = np.array([0, 1, 2, 0, 1, 2])

@@ -73,6 +73,14 @@ class TestPageRank:
         with pytest.raises(ValueError):
             pagerank(triangle, subset=[0, 9])
 
+    def test_float_ids_rejected(self, bridged_triangles):
+        with pytest.raises(ValueError, match="integers"):
+            pagerank(bridged_triangles, subset=[1.7, 3])
+        with pytest.raises(ValueError, match="integers"):
+            pagerank_blocks(bridged_triangles, [[0.5, 2.2]])
+        with pytest.raises(ValueError, match="integers"):
+            pagerank_blocks(bridged_triangles, [[0, 1], [2.0, 3.0]])
+
     def test_relabeling_permutes_scores(self):
         rng = np.random.default_rng(21)
         g = random_graph(rng, 12, 0.3)
@@ -147,6 +155,6 @@ class TestPagerankBlocks:
             pagerank_blocks(triangle, [np.array([0]), np.array([], dtype=int)])
         with pytest.raises(ValueError, match="disjoint"):
             pagerank_blocks(triangle, [np.array([0, 1]), np.array([1, 2])])
-        with pytest.raises(ValueError, match="out-of-range"):
+        with pytest.raises(ValueError, match=r"node id 5 out of range \[0, 3\)"):
             pagerank_blocks(triangle, [np.array([0, 5])])
 

@@ -162,6 +162,11 @@ class TestUncertaintySelect:
         res = uncertainty_select(probs, labeled={0, 2}, b=4)
         assert sorted(res.selected) == [1, 3]
 
+    @pytest.mark.parametrize("labeled", [{-1}, {7}, {0.5}])
+    def test_bad_labeled_ids_rejected(self, labeled):
+        with pytest.raises(ValueError, match="labeled node id"):
+            uncertainty_select(np.full((4, 2), 0.5), labeled=labeled, b=2)
+
     def test_all_labeled_error(self):
         probs = np.full((2, 2), 0.5)
         with pytest.raises(ValueError, match="labeled"):
