@@ -8,6 +8,7 @@ any flag; explicit command-line flags win.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .gcn import TrainConfig
 from .graph import AttributedGraph, GraphLoadError, load_graph
 from .pagerank import PageRankParams
 from .scan import ScanParams, scan_partition, write_communities_csv
-from .selection import check_strategies
+from .selection import check_budget, check_strategies
 from .synthetic import parse_synthetic_spec
 
 _DEFAULTS = {
@@ -193,22 +194,22 @@ def cmd_partition(settings: Settings) -> int:
 
 def cmd_select(settings: Settings) -> int:
     g = settings.load_graph()
-    out_dir = settings.out_dir()
     scan_params = settings.scan_params()
     pr_params = settings.pagerank_params()
     train_cfg = settings.train_config()
-    for strategy in settings.strategies():
-        for budget in settings.budgets():
-            for seed in settings.seeds():
-                result = run_strategy(
-                    strategy, g, budget, seed, scan_params, pr_params, train_cfg
-                )
-                path = out_dir / f"select_{strategy}_b{budget}_s{seed}.json"
-                result.write_json(path)
-                print(
-                    f"{strategy} b={budget} seed={seed}: "
-                    f"query_time={result.query_time_ms:.3f} ms -> {path}"
-                )
+    plan = list(itertools.product(settings.strategies(), settings.budgets(), settings.seeds()))
+    # every combination is checked before the first file is written
+    for strategy, budget, _ in plan:
+        check_budget(strategy, budget, g.num_nodes)
+    out_dir = settings.out_dir()
+    for strategy, budget, seed in plan:
+        result = run_strategy(strategy, g, budget, seed, scan_params, pr_params, train_cfg)
+        path = out_dir / f"select_{strategy}_b{budget}_s{seed}.json"
+        result.write_json(path)
+        print(
+            f"{strategy} b={budget} seed={seed}: "
+            f"query_time={result.query_time_ms:.3f} ms -> {path}"
+        )
     return 0
 
 

@@ -34,11 +34,6 @@ class ScoreVector:
     iterations_used: int
     converged: bool
 
-    def top_node(self) -> int:
-        """Highest-scoring node; ties broken toward the lowest node id."""
-        best = np.flatnonzero(self.scores == self.scores.max())[0]
-        return int(self.node_ids[best])
-
 
 def _block_power_iterate(
     g: AttributedGraph, blocks: list[np.ndarray], params: PageRankParams
@@ -147,15 +142,8 @@ def pagerank_blocks(
     if sum(b.size for b in ids) != distinct:
         raise ValueError("blocks must be disjoint")
     scores, iterations, converged = _block_power_iterate(g, ids, params)
-    out = []
-    offset = 0
-    for i, block_ids in enumerate(ids):
-        out.append(ScoreVector(
-            node_ids=block_ids,
-            scores=scores[offset : offset + block_ids.size],
-            iterations_used=int(iterations[i]),
-            converged=bool(converged[i]),
-        ))
-        offset += block_ids.size
-    return out
-
+    per_block = np.split(scores, np.cumsum([b.size for b in ids])[:-1])
+    return [
+        ScoreVector(node_ids=b, scores=s, iterations_used=int(it), converged=bool(c))
+        for b, s, it, c in zip(ids, per_block, iterations, converged)
+    ]

@@ -48,8 +48,9 @@ class CommunityAssignment:
 _LOOKUP_CHUNK = 1 << 16
 
 
-def _closed_overlap(g: AttributedGraph, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """|N[i] ∩ N[j]| of closed neighborhoods for each pair (i[k], j[k]).
+def _similarity(g: AttributedGraph, i: np.ndarray, j: np.ndarray):
+    """(|N[i] ∩ N[j]|, |N[i] ∩ N[j]| / sqrt(|N[i]|·|N[j]|)) of closed
+    neighborhoods for each pair (i[k], j[k]).
 
     Each pair walks the closed neighborhood of its lower-degree end and
     looks every member up in the other end's closed neighborhood: a member
@@ -78,7 +79,8 @@ def _closed_overlap(g: AttributedGraph, i: np.ndarray, j: np.ndarray) -> np.ndar
         found = np.take(keys, np.searchsorted(keys, query), mode="clip") == query
         common[start:stop] = np.bincount(pair[found | (members == pb)], minlength=stop - start)
         start = stop
-    return common
+    sizes = (g.degrees + 1).astype(np.float64)
+    return common, common / np.sqrt(sizes[i] * sizes[j])
 
 
 def structural_similarity(g: AttributedGraph, i: int, j: int) -> float:
@@ -88,9 +90,7 @@ def structural_similarity(g: AttributedGraph, i: int, j: int) -> float:
     for v in (i, j):
         if not 0 <= v < g.num_nodes:
             raise IndexError(f"node id {v} out of range [0, {g.num_nodes})")
-    common = int(_closed_overlap(g, np.array([i]), np.array([j]))[0])
-    size_i, size_j = g.degrees[i] + 1, g.degrees[j] + 1
-    return common / np.sqrt(float(size_i) * float(size_j))
+    return float(_similarity(g, np.array([i]), np.array([j]))[1][0])
 
 
 def scan_partition(g: AttributedGraph, params: ScanParams | None = None) -> CommunityAssignment:
@@ -109,9 +109,7 @@ def scan_partition(g: AttributedGraph, params: ScanParams | None = None) -> Comm
     src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
     upper = src < g.csr_targets  # each undirected edge once
     i, j = src[upper], g.csr_targets[upper]
-    common = _closed_overlap(g, i, j)
-    sizes = (g.degrees + 1).astype(np.float64)
-    sim = common / np.sqrt(sizes[i] * sizes[j])
+    common, sim = _similarity(g, i, j)
     keep = (sim >= params.epsilon) & (common >= params.mu)
     i, j = i[keep], j[keep]
 

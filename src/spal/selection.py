@@ -28,6 +28,22 @@ def check_strategies(names) -> None:
             raise ValueError(f"unknown strategy {name!r}; valid: {', '.join(STRATEGY_NAMES)}")
 
 
+def check_budget(name: str, b: int, num_nodes: int) -> None:
+    """Raise a ValueError unless strategy ``name`` accepts budget ``b`` on a
+    graph of ``num_nodes`` nodes: b >= 1 always, and b <= num_nodes for
+    featprop, which places one medoid per label (the others saturate)."""
+    if b < 1:
+        raise ValueError(f"budget must be >= 1, got {b}")
+    if name == "featprop" and b > num_nodes:
+        raise ValueError(f"k-medoids cannot place {b} medoids among {num_nodes} nodes")
+
+
+def _rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Positions that order ``scores`` descending, exact ties toward the
+    lowest id. Every score-ordered pick in this module ranks through here."""
+    return np.lexsort((ids, -scores))
+
+
 class Stopwatch:
     """Times the body of a ``with`` block; ``ms`` holds its wall-clock
     milliseconds after the block exits. This is what ``query_time_ms`` is."""
@@ -83,11 +99,6 @@ class SelectionResult:
             f.write("\n")
 
 
-def _check_budget(b: int) -> None:
-    if b < 1:
-        raise ValueError(f"budget must be >= 1, got {b}")
-
-
 def _warn_unconverged(
     params: PageRankParams, blocks: list[ScoreVector], global_sv: ScoreVector | None
 ) -> None:
@@ -120,40 +131,46 @@ def spa_select(
     highest global PageRank are kept. The final list is ordered by
     descending selection score.
     """
-    _check_budget(b)
+    check_budget("spa", b, g.num_nodes)
     scan_params = scan_params or ScanParams()
     pr_params = pr_params or PageRankParams()
     with Stopwatch() as sw:
         b_eff = min(b, g.num_nodes)
         assignment = scan_partition(g, scan_params)
         blocks = pagerank_blocks(g, assignment.communities, pr_params)
-        reps: list[SelectionRecord] = []
-        for cid, sv in enumerate(blocks):
-            top = sv.top_node()
-            score = float(sv.scores[np.searchsorted(sv.node_ids, top)])
-            reps.append(SelectionRecord(top, cid, score))
+        nodes = np.concatenate([np.empty(0, np.int64)] + [sv.node_ids for sv in blocks])
+        block_scores = np.concatenate([np.empty(0)] + [sv.scores for sv in blocks])
+        # a community's first member in rank order is its representative
+        ranked = _rank_order(block_scores, nodes)
+        _, first = np.unique(assignment.community_of[nodes[ranked]], return_index=True)
+        picks, scores = nodes[ranked[first]], block_scores[ranked[first]]
 
-        global_sv = None
-        if len(reps) > b_eff:
-            global_sv = pagerank(g, params=pr_params)
-            reps = sorted(reps, key=lambda r: (-global_sv.scores[r.node], r.node))[:b_eff]
+        # the cut keeps, and the top-up adds, the highest global scores
+        global_sv = pagerank(g, params=pr_params) if picks.size != b_eff else None
+        if picks.size > b_eff:
+            keep = _rank_order(global_sv.scores[picks], picks)[:b_eff]
+            picks, scores = picks[keep], scores[keep]
+        communities = assignment.community_of[picks]
 
-        if len(reps) < b_eff:
-            if global_sv is None:
-                global_sv = pagerank(g, params=pr_params)
-            order = np.lexsort((global_sv.node_ids, -global_sv.scores))
-            order = order[~np.isin(order, [r.node for r in reps])]
-            for v in order[: b_eff - len(reps)]:
-                reps.append(SelectionRecord(int(v), score=float(global_sv.scores[v])))
+        if picks.size < b_eff:
+            order = _rank_order(global_sv.scores, global_sv.node_ids)
+            top_up = order[~np.isin(order, picks)][: b_eff - picks.size]
+            picks = np.concatenate([picks, top_up])
+            scores = np.concatenate([scores, global_sv.scores[top_up]])
+            communities = np.concatenate([communities, np.full(top_up.size, -1)])
 
         _warn_unconverged(pr_params, blocks, global_sv)
-        reps.sort(key=lambda r: (-r.score, r.node))
-    return SelectionResult("spa", b, None, reps, sw.ms)
+        final = _rank_order(scores, picks)
+        chosen = [
+            SelectionRecord(int(v), int(c), float(s))
+            for v, c, s in zip(picks[final], communities[final], scores[final])
+        ]
+    return SelectionResult("spa", b, None, chosen, sw.ms)
 
 
 def random_select(g: AttributedGraph, b: int, seed: int) -> SelectionResult:
     """Uniform sample without replacement, reproducible from the seed."""
-    _check_budget(b)
+    check_budget("random", b, g.num_nodes)
     with Stopwatch() as sw:
         rng = np.random.default_rng(seed)
         picks = rng.choice(g.num_nodes, size=min(b, g.num_nodes), replace=False)
@@ -165,12 +182,12 @@ def pagerank_select(
     g: AttributedGraph, pr_params: PageRankParams | None = None, b: int = 1
 ) -> SelectionResult:
     """Top-b nodes by global PageRank, ties toward the lowest node id."""
-    _check_budget(b)
+    check_budget("pagerank", b, g.num_nodes)
     pr_params = pr_params or PageRankParams()
     with Stopwatch() as sw:
         sv = pagerank(g, params=pr_params)
         _warn_unconverged(pr_params, [], sv)
-        order = np.lexsort((sv.node_ids, -sv.scores))[: min(b, g.num_nodes)]
+        order = _rank_order(sv.scores, sv.node_ids)[: min(b, g.num_nodes)]
         chosen = [
             SelectionRecord(int(sv.node_ids[i]), score=float(sv.scores[i])) for i in order
         ]
@@ -181,24 +198,24 @@ def uncertainty_select(
     probabilities: np.ndarray, labeled: set[int] | np.ndarray, b: int
 ) -> SelectionResult:
     """Top-b unlabeled nodes by Shannon entropy of the predictive rows."""
-    _check_budget(b)
+    probs = np.asarray(probabilities, dtype=np.float64)
+    if probs.ndim != 2:
+        raise ValueError("probabilities must be a 2-D matrix")
+    n = probs.shape[0]
+    check_budget("uncertainty", b, n)
+    rows_ok = np.isfinite(probs).all(axis=1) & (probs >= 0).all(axis=1)
+    bad = np.flatnonzero(~rows_ok | (np.abs(probs.sum(axis=1) - 1.0) > 1e-6))
+    if bad.size:
+        raise ValueError(f"probability row {bad[0]} is not a finite distribution summing to 1")
+    labeled_arr = node_index(labeled, n, "labeled", allow_empty=True)
+    unlabeled = np.setdiff1d(np.arange(n, dtype=np.int64), labeled_arr, assume_unique=True)
+    if unlabeled.size == 0:
+        raise ValueError("all nodes are already labeled")
     with Stopwatch() as sw:
-        probs = np.asarray(probabilities, dtype=np.float64)
-        if probs.ndim != 2:
-            raise ValueError("probabilities must be a 2-D matrix")
-        row_sums = probs.sum(axis=1)
-        if np.abs(row_sums - 1.0).max() > 1e-6 or probs.min() < 0:
-            raise ValueError("probability rows must be distributions summing to 1")
-        n = probs.shape[0]
-        labeled_arr = node_index(labeled, n, "labeled", allow_empty=True)
-        unlabeled = np.setdiff1d(np.arange(n, dtype=np.int64), labeled_arr, assume_unique=True)
-        if unlabeled.size == 0:
-            raise ValueError("all nodes are already labeled")
-
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
         entropy = -plogp.sum(axis=1)
-        order = np.lexsort((unlabeled, -entropy[unlabeled]))[: min(b, unlabeled.size)]
+        order = _rank_order(entropy[unlabeled], unlabeled)[: min(b, unlabeled.size)]
         chosen = [SelectionRecord(int(v), score=float(entropy[v])) for v in unlabeled[order]]
     return SelectionResult("uncertainty", b, None, chosen, sw.ms)
 
@@ -207,11 +224,7 @@ def featprop_select(
     g: AttributedGraph, steps: int = 2, b: int = 1, seed: int = 0
 ) -> SelectionResult:
     """k-medoids (k = b) over propagated features; medoids are the sample."""
-    _check_budget(b)
-    if b > g.num_nodes:
-        raise ValueError(
-            f"k-medoids cannot place {b} medoids among {g.num_nodes} nodes"
-        )
+    check_budget("featprop", b, g.num_nodes)
     with Stopwatch() as sw:
         Z = propagate(g, g.features, steps)
         chosen = [SelectionRecord(int(v)) for v in kmedoids(Z, b, seed=seed)]

@@ -12,6 +12,9 @@ from scipy.spatial.distance import cdist
 
 from spal.gcn import TrainConfig, TrainingDivergedError, _adam_step, _softmax, init_model
 from spal.graph import GraphLoadError, NormalizedAdjacency
+from spal.pagerank import PageRankParams, pagerank, pagerank_blocks
+from spal.scan import ScanParams, scan_partition
+from spal.selection import SelectionRecord, SelectionResult
 
 
 def parse_edge_file_reference(path: Path) -> tuple[np.ndarray, int]:
@@ -131,6 +134,41 @@ def pagerank_dense_solve(g, damping: float, subset=None) -> tuple[np.ndarray, np
     b = np.full(n, (1.0 - damping) / n)
     scores = np.linalg.solve(np.eye(n) - damping * P, b)
     return ids, scores
+
+
+def spa_select_reference(g, scan_params=None, pr_params=None, b: int = 1) -> SelectionResult:
+    """``spal.spa_select`` as a per-community record loop with Python sorts:
+    each block's first exact score maximum in id order is its representative,
+    reps are cut by (-global score, id), topped up from the global
+    ``lexsort`` and finally ordered by (-score, id). No timing, no warning."""
+    if b < 1:
+        raise ValueError(f"budget must be >= 1, got {b}")
+    scan_params = scan_params or ScanParams()
+    pr_params = pr_params or PageRankParams()
+    b_eff = min(b, g.num_nodes)
+    assignment = scan_partition(g, scan_params)
+    blocks = pagerank_blocks(g, assignment.communities, pr_params)
+    reps: list[SelectionRecord] = []
+    for cid, sv in enumerate(blocks):
+        top = int(sv.node_ids[np.flatnonzero(sv.scores == sv.scores.max())[0]])
+        score = float(sv.scores[np.searchsorted(sv.node_ids, top)])
+        reps.append(SelectionRecord(top, cid, score))
+
+    global_sv = None
+    if len(reps) > b_eff:
+        global_sv = pagerank(g, params=pr_params)
+        reps = sorted(reps, key=lambda r: (-global_sv.scores[r.node], r.node))[:b_eff]
+
+    if len(reps) < b_eff:
+        if global_sv is None:
+            global_sv = pagerank(g, params=pr_params)
+        order = np.lexsort((global_sv.node_ids, -global_sv.scores))
+        order = order[~np.isin(order, [r.node for r in reps])]
+        for v in order[: b_eff - len(reps)]:
+            reps.append(SelectionRecord(int(v), score=float(global_sv.scores[v])))
+
+    reps.sort(key=lambda r: (-r.score, r.node))
+    return SelectionResult("spa", b, None, reps)
 
 
 def kmedoids_brute_force(points: np.ndarray, k: int) -> tuple[set[int], float]:

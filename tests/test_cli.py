@@ -104,6 +104,17 @@ class TestSelect:
         assert sorted(data["selected"]) == list(range(6))
         assert data["seed"] == 0  # run seed recorded even for seedless strategies
 
+    def test_every_budget_checked_before_any_file(self, tmp_path, capsys):
+        # spa accepts b=10 on 6 nodes, featprop does not: nothing may be written
+        rc = main([
+            "select", "--synthetic", TWO_TRIANGLES, "--strategy", "spa,featprop",
+            "--budgets", "10", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k-medoids cannot place 10 medoids among 6 nodes")
+        assert not list(tmp_path.glob("*.json"))
+
     def test_unknown_strategy_lists_valid(self, tmp_path, capsys):
         rc = main([
             "select", "--synthetic", TWO_TRIANGLES, "--strategy", "banana",

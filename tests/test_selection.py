@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from spal.pagerank import PageRankParams, pagerank
-from spal.scan import ScanParams
+from spal.scan import ScanParams, scan_partition
 from spal.selection import (
+    STRATEGY_NAMES,
+    _rank_order,
+    check_budget,
     featprop_select,
     pagerank_select,
     random_select,
@@ -19,6 +22,77 @@ from spal.selection import (
 from spal.synthetic import sbm_graph
 
 from conftest import make_graph, random_graph
+from oracles import spa_select_reference
+
+
+def cycle_edges(n, offset=0):
+    return [(offset + i, offset + (i + 1) % n) for i in range(n)]
+
+
+def clique_edges(n, offset=0):
+    return [(offset + i, offset + j) for i in range(n) for j in range(i + 1, n)]
+
+
+def star_edges(leaves, offset=0):
+    return [(offset, offset + i) for i in range(1, leaves + 1)]
+
+
+def _spa_cases() -> dict:
+    """name -> (graph, ScanParams): graphs rich in exact PageRank ties,
+    random graphs, the README SBM, and a threshold no edge reaches."""
+    rng = np.random.default_rng(34)
+    sbm = sbm_graph(4, 400, 0.1, 0.01, 1.0, 7)
+    cases = {
+        "cycle": (make_graph(cycle_edges(12)), ScanParams(0.5, 2)),
+        "disjoint-cycles": (make_graph(cycle_edges(6) + cycle_edges(8, 6)), ScanParams(0.5, 2)),
+        "clique": (make_graph(clique_edges(6)), ScanParams(0.5, 2)),
+        "disjoint-cliques": (
+            make_graph(clique_edges(4) + clique_edges(4, 4) + clique_edges(5, 8)),
+            ScanParams(0.5, 2)),
+        "bridged-cliques": (
+            make_graph(clique_edges(4) + clique_edges(4, 4) + [(3, 4)]), ScanParams(0.6, 2)),
+        "stars": (
+            make_graph(star_edges(4) + star_edges(4, 5) + star_edges(6, 10)),
+            ScanParams(0.5, 2)),
+        "star-no-communities": (make_graph(star_edges(4)), ScanParams(0.9, 3)),
+        "sbm-readme": (sbm, ScanParams(0.28, 2)),
+        "sbm-eps1": (sbm, ScanParams(1.0, 2)),
+    }
+    for trial in range(4):
+        g = random_graph(rng, 40, float(rng.uniform(0.05, 0.25)))
+        cases[f"random{trial}"] = (g, ScanParams(float(rng.uniform(0.2, 0.5)), 2))
+    return cases
+
+
+SPA_CASES = _spa_cases()
+
+
+class TestRankOrder:
+    def test_top_node_tie_breaks_low_id(self):
+        # a cycle's PageRank scores tie exactly; the ids are deliberately unsorted
+        sv = pagerank(make_graph(cycle_edges(6)))
+        ids = np.array([4, 2, 5, 0, 3, 1])
+        assert ids[_rank_order(sv.scores, ids)[0]] == 0
+
+    def test_descending_score_then_lowest_id(self):
+        scores = np.array([0.1, 0.3, 0.3, 0.2, 0.3])
+        ids = np.array([9, 7, 2, 1, 5])
+        assert ids[_rank_order(scores, ids)].tolist() == [2, 5, 7, 1, 9]
+
+
+class TestCheckBudget:
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
+            check_budget(name, 0, 5)
+
+    def test_only_featprop_is_capped_by_the_node_count(self):
+        for name in STRATEGY_NAMES:
+            if name != "featprop":
+                check_budget(name, 6, 5)
+        check_budget("featprop", 5, 5)
+        with pytest.raises(ValueError, match="cannot place 6 medoids among 5 nodes"):
+            check_budget("featprop", 6, 5)
 
 
 class TestSpaSelect:
@@ -75,6 +149,27 @@ class TestSpaSelect:
         res = spa_select(two_triangles, ScanParams(0.5, 1), b=6)
         scores = [r.score for r in res.provenance]
         assert scores == sorted(scores, reverse=True)
+
+
+class TestSpaMatchesReference:
+    """The array implementation against the per-community record loop."""
+
+    @pytest.mark.parametrize("name", SPA_CASES)
+    def test_to_dict_identical(self, name):
+        g, params = SPA_CASES[name]
+        k, n = scan_partition(g, params).num_communities, g.num_nodes
+        # cut, exact fit, top-up, full and saturated budgets
+        for b in sorted(b for b in {1, k - 1, k, k + 1, n, n + 3} if b >= 1):
+            got = spa_select(g, params, b=b).to_dict()
+            want = spa_select_reference(g, params, b=b).to_dict()
+            for d in (got, want):
+                d.pop("query_time_ms")
+            assert list(got.items()) == list(want.items()), (name, b)
+
+    def test_cases_cover_every_path(self):
+        k = {name: scan_partition(*case).num_communities for name, case in SPA_CASES.items()}
+        assert k["star-no-communities"] == k["sbm-eps1"] == 0
+        assert k["disjoint-cliques"] == 3 and k["sbm-readme"] > 1
 
 
 class TestConvergenceWarning:
@@ -175,6 +270,12 @@ class TestUncertaintySelect:
     def test_malformed_rows_error(self):
         with pytest.raises(ValueError, match="distribution"):
             uncertainty_select(np.array([[0.5, 0.9]]), labeled=set(), b=1)
+
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [0.5, np.nan], [np.inf, 0.0]])
+    def test_non_finite_row_rejected(self, row):
+        probs = np.array([[0.5, 0.5], row, [0.9, 0.1]])
+        with pytest.raises(ValueError, match="probability row 1 is not a finite distribution"):
+            uncertainty_select(probs, labeled=set(), b=3)
 
     def test_tie_break_low_id(self):
         probs = np.full((5, 3), 1 / 3)
