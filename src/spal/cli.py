@@ -1,17 +1,18 @@
 """Command-line entry point: partition, select, evaluate, benchmark, and
 sweep subcommands over plain-text graph exports or synthetic fixtures.
 
-A plain-text config file (``key=value`` per line, ``#`` comments) can seed
-any flag; explicit command-line flags win.
+Each subcommand takes only the flags it reads. A plain-text config file
+(``key=value`` per line, ``#`` comments) can seed any of them; explicit
+command-line flags win, and keys that only other subcommands read are
+ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -21,6 +22,7 @@ from .experiment import (
     EvalReport,
     RunRecord,
     aggregate_runs,
+    check_plan,
     iter_runs,
     run_strategy,
     write_aggregates_csv,
@@ -30,21 +32,37 @@ from .gcn import TrainConfig
 from .graph import AttributedGraph, GraphLoadError, load_graph
 from .pagerank import PageRankParams
 from .scan import ScanParams, scan_partition, write_communities_csv
-from .selection import check_budget, check_strategies
 from .synthetic import parse_synthetic_spec
 
+# Every settings flag once, with its help text. A flag that sets a field of
+# ScanParams, PageRankParams or TrainConfig takes its default from the class.
+_FLAGS = {
+    "edges": "edge list path (u v per line)",
+    "features": "features CSV path (one row per node)",
+    "labels": "labels path (one integer per line)",
+    "synthetic": "e.g. sbm:4,400,0.1,0.01,1.5,7",
+    "epsilon": f"similarity threshold (default {ScanParams.epsilon}; sweep: comma list)",
+    "mu": f"min shared neighbors (default {ScanParams.mu}; sweep: comma list)",
+    "out": "output directory",
+    "damping": f"PageRank damping factor (default {PageRankParams.damping})",
+    "tolerance": f"PageRank L1 convergence threshold (default {PageRankParams.tolerance})",
+    "max_iterations": f"PageRank iteration cap (default {PageRankParams.max_iterations})",
+    "strategy": "comma-separated strategy names",
+    "budgets": "comma-separated labeling budgets",
+    "seeds": "comma-separated run seeds",
+    "repetitions": "timed calls per strategy, seeded 0, 1, ...",
+    "epochs": f"GCN training epochs (default {TrainConfig.epochs})",
+    "lr": f"GCN learning rate (default {TrainConfig.learning_rate})",
+    "weight_decay": f"GCN weight decay (default {TrainConfig.weight_decay})",
+    "jobs": "parallel worker processes",
+}
+_FLAG_OF = {"learning_rate": "lr"}  # the one field whose flag has another name
+
+# the CLI's own defaults; every other flag is unset unless given
 _DEFAULTS = {
-    "epsilon": "0.5",
-    "mu": "2",
-    "damping": "0.95",
-    "tolerance": "1e-8",
-    "max_iterations": "1000",
     "budgets": "20",
     "seeds": "0",
     "strategy": "spa",
-    "epochs": "200",
-    "lr": "1e-2",
-    "weight_decay": "5e-4",
     "jobs": "1",
     "out": ".",
     "repetitions": "10",
@@ -55,18 +73,22 @@ class CliError(ValueError):
     pass
 
 
-def _parse_int_list(text: str, name: str) -> list[int]:
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _parse_int_list(text: str, key: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise CliError(f"--{name} expects comma-separated integers, got {text!r}") from None
+        raise CliError(f"{_flag(key)} expects comma-separated integers, got {text!r}") from None
 
 
-def _parse_float_list(text: str, name: str) -> list[float]:
+def _parse_float_list(text: str, key: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise CliError(f"--{name} expects comma-separated numbers, got {text!r}") from None
+        raise CliError(f"{_flag(key)} expects comma-separated numbers, got {text!r}") from None
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -84,79 +106,52 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 @dataclass
 class Settings:
-    """Flag values resolved from defaults, config file, and CLI overrides."""
+    """The subcommand's flag values resolved from its defaults, the config
+    file and the command line; a flag that was not given is absent."""
 
     raw: dict[str, str]
 
-    def get(self, key: str) -> str | None:
-        return self.raw.get(key)
-
-    def require(self, key: str) -> str:
-        value = self.raw.get(key)
-        if value is None:
-            raise CliError(f"missing required option --{key.replace('_', '-')}")
-        return value
-
     def scalar_float(self, key: str) -> float:
-        values = _parse_float_list(self.require(key), key)
+        values = _parse_float_list(self.raw[key], key)
         if len(values) != 1:
-            raise CliError(f"--{key} expects a single value here, got {len(values)}")
+            raise CliError(f"{_flag(key)} expects a single value here, got {len(values)}")
         return values[0]
 
     def scalar_int(self, key: str) -> int:
         value = self.scalar_float(key)
-        if value != int(value):
-            raise CliError(f"--{key.replace('_', '-')} expects an integer, got {value}")
+        if not value.is_integer():  # also false for inf and nan
+            raise CliError(f"{_flag(key)} expects an integer, got {value}")
         return int(value)
 
-    def scan_params(self) -> ScanParams:
-        return ScanParams(epsilon=self.scalar_float("epsilon"), mu=self.scalar_int("mu"))
-
-    def pagerank_params(self) -> PageRankParams:
-        return PageRankParams(
-            damping=self.scalar_float("damping"),
-            tolerance=self.scalar_float("tolerance"),
-            max_iterations=self.scalar_int("max_iterations"),
-        )
-
-    def train_config(self) -> TrainConfig:
-        """The GCN settings; each run supplies its own seed."""
-        return TrainConfig(
-            learning_rate=self.scalar_float("lr"),
-            weight_decay=self.scalar_float("weight_decay"),
-            epochs=self.scalar_int("epochs"),
-        )
+    def params(self, cls):
+        """A ScanParams, PageRankParams or TrainConfig from the flags given
+        for its fields; every other field keeps its class default, and each
+        flag parses as the type of its field's default."""
+        given = {}
+        for fld in fields(cls):
+            key = _FLAG_OF.get(fld.name, fld.name)
+            if key in self.raw:
+                is_int = isinstance(fld.default, int)
+                given[fld.name] = self.scalar_int(key) if is_int else self.scalar_float(key)
+        return cls(**given)
 
     def strategies(self) -> list[str]:
-        names = [s.strip() for s in self.require("strategy").split(",") if s.strip()]
-        check_strategies(names)
-        if not names:
-            raise CliError("--strategy must name at least one strategy")
-        return names
+        return [s.strip() for s in self.raw["strategy"].split(",") if s.strip()]
 
-    def budgets(self) -> list[int]:
-        values = _parse_int_list(self.require("budgets"), "budgets")
-        if not values:
-            raise CliError("--budgets must be non-empty")
-        return values
-
-    def seeds(self) -> list[int]:
-        values = _parse_int_list(self.require("seeds"), "seeds")
-        if not values:
-            raise CliError("--seeds must be non-empty")
-        return values
+    def ints(self, key: str) -> list[int]:
+        return _parse_int_list(self.raw[key], key)
 
     def out_dir(self) -> Path:
-        out = Path(self.require("out"))
+        out = Path(self.raw["out"])
         out.mkdir(parents=True, exist_ok=True)
         return out
 
     def load_graph(self) -> AttributedGraph:
-        synthetic = self.get("synthetic")
+        synthetic = self.raw.get("synthetic")
         if synthetic:
             return parse_synthetic_spec(synthetic)
         for key in ("edges", "features", "labels"):
-            if not self.get(key):
+            if not self.raw.get(key):
                 raise CliError(
                     "graph input missing: pass --edges/--features/--labels or --synthetic"
                 )
@@ -164,23 +159,20 @@ class Settings:
 
 
 def _resolve_settings(args: argparse.Namespace) -> Settings:
-    raw = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        unknown = set(file_values) - set(_DEFAULTS) - {"edges", "features", "labels", "synthetic"}
-        if unknown:
-            raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        raw.update(file_values)
-    for key in list(_DEFAULTS) + ["edges", "features", "labels", "synthetic"]:
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = str(value)
-    return Settings(raw=raw)
+    """Each of the subcommand's flags from the command line, else the config
+    file, else the CLI default. Config keys of other subcommands are ignored."""
+    file_values = _load_config_file(args.config) if args.config else {}
+    unknown = set(file_values) - set(_FLAGS)
+    if unknown:
+        raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    merged = {**_DEFAULTS, **file_values, **given}
+    return Settings({key: merged[key] for key in _COMMANDS[args.command][2] if key in merged})
 
 
 def cmd_partition(settings: Settings) -> int:
     g = settings.load_graph()
-    assignment = scan_partition(g, settings.scan_params())
+    assignment = scan_partition(g, settings.params(ScanParams))
     out = settings.out_dir() / "communities.csv"
     write_communities_csv(assignment, out)
     sizes = Counter(len(c) for c in assignment.communities)
@@ -194,16 +186,12 @@ def cmd_partition(settings: Settings) -> int:
 
 def cmd_select(settings: Settings) -> int:
     g = settings.load_graph()
-    scan_params = settings.scan_params()
-    pr_params = settings.pagerank_params()
-    train_cfg = settings.train_config()
-    plan = list(itertools.product(settings.strategies(), settings.budgets(), settings.seeds()))
-    # every combination is checked before the first file is written
-    for strategy, budget, _ in plan:
-        check_budget(strategy, budget, g.num_nodes)
+    scan_params = settings.params(ScanParams)
+    pr_params = settings.params(PageRankParams)
+    plan = check_plan(g, settings.strategies(), settings.ints("budgets"), settings.ints("seeds"))
     out_dir = settings.out_dir()
     for strategy, budget, seed in plan:
-        result = run_strategy(strategy, g, budget, seed, scan_params, pr_params, train_cfg)
+        result = run_strategy(strategy, g, budget, seed, scan_params, pr_params)
         path = out_dir / f"select_{strategy}_b{budget}_s{seed}.json"
         result.write_json(path)
         print(
@@ -217,8 +205,8 @@ def cmd_evaluate(settings: Settings) -> int:
     g = settings.load_graph()
     # a bad setting or plan raises here, before runs.csv is opened
     records = iter_runs(
-        g, settings.strategies(), settings.budgets(), settings.seeds(),
-        settings.train_config(), settings.scan_params(), settings.pagerank_params(),
+        g, settings.strategies(), settings.ints("budgets"), settings.ints("seeds"),
+        settings.params(TrainConfig), settings.params(ScanParams), settings.params(PageRankParams),
         jobs=settings.scalar_int("jobs"),
     )
     out_dir = settings.out_dir()
@@ -251,20 +239,21 @@ def cmd_evaluate(settings: Settings) -> int:
 
 def cmd_benchmark(settings: Settings) -> int:
     g = settings.load_graph()
-    out_dir = settings.out_dir()
     budget = settings.scalar_int("budgets")
     repetitions = settings.scalar_int("repetitions")
     if repetitions < 1:
         raise CliError("--repetitions must be >= 1")
-    scan_params = settings.scan_params()
-    pr_params = settings.pagerank_params()
-    train_cfg = settings.train_config()
+    scan_params = settings.params(ScanParams)
+    pr_params = settings.params(PageRankParams)
+    strategies = settings.strategies()
+    check_plan(g, strategies, [budget], list(range(repetitions)))
+    out_dir = settings.out_dir()
     rows = []
-    for strategy in settings.strategies():
-        times = []
-        for rep in range(repetitions):
-            result = run_strategy(strategy, g, budget, rep, scan_params, pr_params, train_cfg)
-            times.append(result.query_time_ms)
+    for strategy in strategies:
+        times = [
+            run_strategy(strategy, g, budget, rep, scan_params, pr_params).query_time_ms
+            for rep in range(repetitions)
+        ]
         median = float(np.median(times))
         p95 = float(np.percentile(times, 95))
         rows.append((strategy, median, p95))
@@ -280,35 +269,43 @@ def cmd_benchmark(settings: Settings) -> int:
 
 def cmd_sweep(settings: Settings) -> int:
     g = settings.load_graph()
-    out_dir = settings.out_dir()
-    epsilons = _parse_float_list(settings.require("epsilon"), "epsilon")
-    mus = _parse_int_list(settings.require("mu"), "mu")
-    sweep_path = out_dir / "sweep.csv"
+    raw = settings.raw
+    epsilons = _parse_float_list(raw.get("epsilon", str(ScanParams.epsilon)), "epsilon")
+    mus = _parse_int_list(raw.get("mu", str(ScanParams.mu)), "mu")
+    # every grid point is checked before sweep.csv is opened
+    grid = [ScanParams(epsilon=epsilon, mu=mu) for epsilon in epsilons for mu in mus]
+    sweep_path = settings.out_dir() / "sweep.csv"
     with sweep_path.open("w", encoding="utf-8") as f:
         f.write("epsilon,mu,num_communities,num_outliers,largest_community\n")
-        for epsilon in epsilons:
-            for mu in mus:
-                assignment = scan_partition(g, ScanParams(epsilon=epsilon, mu=mu))
-                largest = max((len(c) for c in assignment.communities), default=0)
-                f.write(
-                    f"{epsilon},{mu},{assignment.num_communities},"
-                    f"{len(assignment.outliers)},{largest}\n"
-                )
-                print(
-                    f"epsilon={epsilon} mu={mu}: "
-                    f"{assignment.num_communities} communities, "
-                    f"{len(assignment.outliers)} outliers"
-                )
+        for params in grid:
+            assignment = scan_partition(g, params)
+            largest = max((len(c) for c in assignment.communities), default=0)
+            f.write(
+                f"{params.epsilon},{params.mu},{assignment.num_communities},"
+                f"{len(assignment.outliers)},{largest}\n"
+            )
+            print(
+                f"epsilon={params.epsilon} mu={params.mu}: "
+                f"{assignment.num_communities} communities, "
+                f"{len(assignment.outliers)} outliers"
+            )
     print(f"wrote {sweep_path}")
     return 0
 
 
+_SCAN_KEYS = ("edges", "features", "labels", "synthetic", "epsilon", "mu", "out")
+_SELECT_KEYS = (*_SCAN_KEYS, "damping", "tolerance", "max_iterations", "strategy", "budgets")
+
+# subcommand -> (handler, help, the settings flags it reads); each also takes --config
 _COMMANDS = {
-    "partition": cmd_partition,
-    "select": cmd_select,
-    "evaluate": cmd_evaluate,
-    "benchmark": cmd_benchmark,
-    "sweep": cmd_sweep,
+    "partition": (cmd_partition, "cluster the graph and write communities.csv", _SCAN_KEYS),
+    "select": (cmd_select, "run selection strategies and write one JSON per combination",
+               (*_SELECT_KEYS, "seeds")),
+    "evaluate": (cmd_evaluate, "select, train, and report accuracy / macro-F1 per strategy",
+                 tuple(key for key in _FLAGS if key != "repetitions")),
+    "benchmark": (cmd_benchmark, "time selection calls and write median/p95 per strategy",
+                  (*_SELECT_KEYS, "repetitions")),
+    "sweep": (cmd_sweep, "grid over epsilon/mu and report community counts", _SCAN_KEYS),
 }
 
 
@@ -318,33 +315,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Structural-clustering PageRank active learning toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("partition", "cluster the graph and write communities.csv"),
-        ("select", "run selection strategies and write one JSON per combination"),
-        ("evaluate", "select, train, and report accuracy / macro-F1 per strategy"),
-        ("benchmark", "time selection calls and write median/p95 per strategy"),
-        ("sweep", "grid over epsilon/mu and report community counts"),
-    ]:
+    for name, (_, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value file; explicit flags override it")
-        p.add_argument("--edges", help="edge list path (u v per line)")
-        p.add_argument("--features", help="features CSV path (one row per node)")
-        p.add_argument("--labels", help="labels path (one integer per line)")
-        p.add_argument("--synthetic", help="e.g. sbm:4,400,0.1,0.01,1.5,7")
-        p.add_argument("--epsilon", help="similarity threshold (sweep: comma list)")
-        p.add_argument("--mu", help="min shared neighbors (sweep: comma list)")
-        p.add_argument("--damping", help="PageRank damping factor (default 0.95)")
-        p.add_argument("--tolerance", help="PageRank L1 convergence threshold")
-        p.add_argument("--max-iterations", dest="max_iterations", help="PageRank iteration cap")
-        p.add_argument("--budgets", help="comma-separated labeling budgets")
-        p.add_argument("--seeds", help="comma-separated run seeds")
-        p.add_argument("--strategy", help="comma-separated strategy names")
-        p.add_argument("--epochs", help="GCN training epochs (default 200)")
-        p.add_argument("--lr", help="GCN learning rate (default 1e-2)")
-        p.add_argument("--weight-decay", dest="weight_decay", help="GCN weight decay")
-        p.add_argument("--jobs", help="parallel workers for evaluate (default 1)")
-        p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--repetitions", help="benchmark repetitions (default 10)")
+        for key in keys:
+            default = f" (default {_DEFAULTS[key]})" if key in _DEFAULTS else ""
+            p.add_argument(_flag(key), dest=key, help=_FLAGS[key] + default)
     return parser
 
 
@@ -353,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = _resolve_settings(args)
-        return _COMMANDS[args.command](settings)
+        return _COMMANDS[args.command][0](settings)
     except (CliError, GraphLoadError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

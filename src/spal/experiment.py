@@ -22,6 +22,7 @@ from .scan import ScanParams
 from .selection import (
     SelectionResult,
     Stopwatch,
+    check_budget,
     check_strategies,
     featprop_select,
     pagerank_select,
@@ -153,13 +154,17 @@ def run_single(
     )
 
 
-def _validate_plan(g, strategies, budgets, seeds):
+def check_plan(
+    g: AttributedGraph, strategies: list[str], budgets: list[int], seeds: list[int]
+) -> list[tuple[str, int, int]]:
+    """The (strategy, budget, seed) runs in order, once every list is
+    non-empty and every strategy accepts every budget on ``g``."""
     if not strategies or not budgets or not seeds:
         raise ValueError("strategies, budgets, and seeds must be non-empty")
     check_strategies(strategies)
-    for b in budgets:
-        if not 1 <= b <= g.num_nodes:
-            raise ValueError(f"budget {b} outside [1, {g.num_nodes}]")
+    for name, b in itertools.product(strategies, budgets):
+        check_budget(name, b, g.num_nodes)
+    return list(itertools.product(strategies, budgets, seeds))
 
 
 def iter_runs(
@@ -174,23 +179,31 @@ def iter_runs(
 ) -> Iterator[RunRecord]:
     """Run records in deterministic (strategy, budget, seed) order.
 
-    The plan is validated on the call, before any run starts; the runs
-    happen as the returned iterator is consumed. Each run's seed drives both
-    its selection RNG and the model init (``cfg.seed`` is superseded per
-    run). With jobs > 1 the independent runs execute on a process pool;
-    results are still yielded in plan order.
+    The plan is checked on the call, before any run starts: ``check_plan``,
+    plus a node left to evaluate on (b < n). The runs happen as the returned
+    iterator is consumed. Each run's seed drives both its selection RNG and
+    the model init (``cfg.seed`` is superseded per run). With jobs > 1 the
+    independent runs execute on a process pool; results are still yielded
+    in plan order.
     """
-    _validate_plan(g, strategies, budgets, seeds)
-    plan = list(itertools.product(strategies, budgets, seeds))
+    plan = check_plan(g, strategies, budgets, seeds)
+    for b in budgets:
+        if b >= g.num_nodes:
+            raise ValueError(
+                f"budget {b} outside [1, {g.num_nodes}): no node would be left to evaluate on"
+            )
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     return _run_plan(g, plan, cfg or gcn.TrainConfig(), scan_params, pr_params, jobs)
 
 
 def _run_plan(g, plan, cfg, scan_params, pr_params, jobs) -> Iterator[RunRecord]:
-    if jobs <= 1:
+    if jobs == 1:
         for strategy, budget, seed in plan:
             yield run_single(strategy, g, budget, seed, cfg, scan_params, pr_params)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once, so it is no larger than the plan
+    with ProcessPoolExecutor(max_workers=min(jobs, len(plan))) as pool:
         futures = [
             pool.submit(run_single, strategy, g, budget, seed, cfg, scan_params, pr_params)
             for strategy, budget, seed in plan

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +13,10 @@ from pathlib import Path
 import pytest
 
 import spal
-from spal.cli import main
+from spal.cli import _build_parser, _resolve_settings, main
+from spal.gcn import TrainConfig
+from spal.pagerank import PageRankParams
+from spal.scan import ScanParams
 from spal.synthetic import export_graph_files, sbm_graph
 
 
@@ -231,7 +237,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("flags, message", [
         (["--epsilon", "2"], "error: epsilon must be in [0, 1], got 2.0"),
-        (["--budgets", "999"], "error: budget 999 outside [1, 30]"),
+        (["--budgets", "999"], "error: budget 999 outside [1, 30): no node would be left"),
+        (["--budgets", "30"], "error: budget 30 outside [1, 30): no node would be left"),
     ])
     def test_bad_setting_rejected_before_runs_csv(
         self, tmp_path, graph_files, capsys, flags, message
@@ -268,6 +275,19 @@ class TestBenchmark:
         assert "--budgets expects a single value" in capsys.readouterr().err
         assert not (tmp_path / "benchmark.csv").exists()
 
+    def test_every_budget_checked_before_first_timed_call(self, tmp_path, capsys):
+        # spa accepts b=10 on 6 nodes, featprop does not: nothing may be timed
+        out = tmp_path / "out"
+        rc = main([
+            "benchmark", "--synthetic", TWO_TRIANGLES, "--strategy", "spa,featprop",
+            "--budgets", "10", "--repetitions", "3", "--out", str(out),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: k-medoids cannot place 10 medoids among 6 nodes")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_single_repetition(self, tmp_path, graph_files):
         rc = main([
             "benchmark", *graph_files, "--strategy", "pagerank",
@@ -290,6 +310,15 @@ class TestSweep:
         assert {(r["epsilon"], r["mu"]) for r in rows} == {
             ("0.3", "1"), ("0.3", "2"), ("0.5", "1"), ("0.5", "2"),
         }
+
+
+    def test_every_grid_point_checked_before_sweep_csv(self, tmp_path, graph_files, capsys):
+        rc = main([
+            "sweep", *graph_files, "--epsilon", "0.3,2", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: epsilon must be in [0, 1], got 2.0")
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestIdempotency:
@@ -361,3 +390,84 @@ class TestMoreStrategies:
             "--seeds", "0", "--damping", "1.5", "--out", str(tmp_path),
         ])
         assert rc == 1  # damping outside [0, 1) rejected
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--epochs", "5"],
+        ["sweep", "--budgets", "3"],
+        ["select", "--jobs", "2"],
+        ["benchmark", "--seeds", "1"],
+    ])
+    def test_flag_the_subcommand_does_not_read_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--synthetic", TWO_TRIANGLES, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["partition", "--mu", "inf"], "error: --mu expects an integer, got inf"),
+        (["partition", "--mu", "nan"], "error: --mu expects an integer, got nan"),
+        (["select", "--max-iterations", "1,2"],
+         "error: --max-iterations expects a single value here, got 2"),
+        (["evaluate", "--weight-decay", "1,2"],
+         "error: --weight-decay expects a single value here, got 2"),
+        (["evaluate", "--budgets", "3", "--jobs", "0"], "error: jobs must be >= 1, got 0"),
+        (["evaluate", "--budgets", "3", "--jobs", "-3"], "error: jobs must be >= 1, got -3"),
+    ])
+    def test_bad_value_names_the_flag(self, tmp_path, capsys, argv, message):
+        rc = main([*argv, "--synthetic", TWO_TRIANGLES, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not list(tmp_path.iterdir())
+
+    def test_config_keys_of_other_subcommands_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=5\njobs=4\nepsilon=0.7\n")
+        rc = main([
+            "partition", "--config", str(cfg), "--synthetic", TWO_TRIANGLES,
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        assert "communities: 2" in capsys.readouterr().out
+
+    def test_unset_flags_keep_class_defaults(self):
+        settings = _resolve_settings(_build_parser().parse_args(["evaluate"]))
+        assert settings.params(ScanParams) == ScanParams()
+        assert settings.params(PageRankParams) == PageRankParams()
+        assert settings.params(TrainConfig) == TrainConfig()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_parse():
+    """The CLI examples in README.md take only flags their subcommand reads."""
+    block = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1].split("```")[1]
+    commands = [
+        shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("spal ")
+    ]
+    assert {argv[1] for argv in commands} == {
+        "partition", "select", "evaluate", "benchmark", "sweep",
+    }
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # exits with code 2 on a flag it does not take
+
+
+def test_readme_flag_table_matches_parser():
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    documented = {name: set() for name in subparsers.choices}
+    for row in README.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        if row.startswith("| `--"):
+            names = documented if cells[1] == "all" else cells[1].split(", ")
+            for name in names:
+                documented[name].update(re.findall(r"--[a-z-]+", cells[0]))
+    for name, sub in subparsers.choices.items():
+        taken = {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+        assert documented[name] == taken, name

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import re
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import spal.experiment
 import spal.selection
-from spal.experiment import aggregate_runs, iter_runs, run_experiment, run_strategy
+from spal.experiment import (
+    aggregate_runs,
+    check_plan,
+    iter_runs,
+    run_experiment,
+    run_strategy,
+)
 from spal.gcn import TrainConfig
 from spal.scan import ScanParams
 from spal.synthetic import sbm_graph
@@ -77,6 +86,31 @@ def test_dispatch_goes_through_module_attributes(small_sbm, monkeypatch):
     assert calls["pagerank"] >= per_strategy  # spa adds global calls to pagerank's own
 
 
+class TestCheckPlan:
+    def test_plan_in_strategy_budget_seed_order(self, small_sbm):
+        assert check_plan(small_sbm, ["spa", "random"], [2, 3], [0]) == [
+            ("spa", 2, 0), ("spa", 3, 0), ("random", 2, 0), ("random", 3, 0),
+        ]
+
+    @pytest.mark.parametrize("strategies, budgets, seeds, match", [
+        ([], [2], [0], "non-empty"),
+        (["spa"], [], [0], "non-empty"),
+        (["spa"], [2], [], "non-empty"),
+        (["spa", "banana"], [2], [0], "unknown strategy 'banana'"),
+        (["spa"], [2, 0], [0], "budget must be >= 1, got 0"),
+        (["spa", "featprop"], [2, 61], [0], "cannot place 61 medoids among 60 nodes"),
+    ])
+    def test_rejects(self, small_sbm, strategies, budgets, seeds, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            check_plan(small_sbm, strategies, budgets, seeds)
+
+    def test_evaluation_needs_an_unselected_node(self, small_sbm):
+        # spa returns every node at b >= n, which leaves nothing to evaluate on
+        assert check_plan(small_sbm, ["spa"], [60], [0])
+        with pytest.raises(ValueError, match=re.escape("budget 60 outside [1, 60)")):
+            iter_runs(small_sbm, ["spa"], [60], [0], FAST)
+
+
 class TestRunExperiment:
     def test_bookkeeping(self, small_sbm):
         report = run_experiment(
@@ -117,6 +151,18 @@ class TestRunExperiment:
         serial = run_experiment(small_sbm, **kwargs, jobs=1)
         parallel = run_experiment(small_sbm, **kwargs, jobs=2)
         assert [_content(r) for r in serial.runs] == [_content(r) for r in parallel.runs]
+
+    def test_pool_no_larger_than_plan(self, small_sbm, monkeypatch):
+        sizes = []
+
+        def pool(max_workers):  # threads start lazily, one per submitted run
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(spal.experiment, "ProcessPoolExecutor", pool)
+        runs = list(iter_runs(small_sbm, ["random"], [2], [0, 1], FAST, jobs=1000))
+        assert sizes == [2]
+        assert len(runs) == 2
 
     def test_eval_set_excludes_selected(self):
         # a graph the model fits perfectly on the labeled nodes but cannot
