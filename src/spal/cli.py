@@ -30,6 +30,7 @@ from .experiment import (
 )
 from .gcn import TrainConfig
 from .graph import AttributedGraph, GraphLoadError, load_graph
+from .output import write_records_csv
 from .pagerank import PageRankParams
 from .scan import ScanParams, scan_partition, write_communities_csv
 from .synthetic import parse_synthetic_spec
@@ -77,18 +78,17 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _parse_int_list(text: str, key: str) -> list[int]:
+def _parse_list(text: str, key: str, kind: type = float) -> list:
+    """The comma-separated values of flag ``key``, each parsed by ``kind``;
+    empty tokens are skipped, but at least one value must remain."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise CliError(f"{_flag(key)} expects comma-separated integers, got {text!r}") from None
-
-
-def _parse_float_list(text: str, key: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"{_flag(key)} expects comma-separated numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise CliError(f"{_flag(key)} expects comma-separated {noun}, got {text!r}") from None
+    if not values:
+        raise CliError(f"{_flag(key)} expects at least one value, got {text!r}")
+    return values
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -112,7 +112,7 @@ class Settings:
     raw: dict[str, str]
 
     def scalar_float(self, key: str) -> float:
-        values = _parse_float_list(self.raw[key], key)
+        values = _parse_list(self.raw[key], key)
         if len(values) != 1:
             raise CliError(f"{_flag(key)} expects a single value here, got {len(values)}")
         return values[0]
@@ -136,10 +136,10 @@ class Settings:
         return cls(**given)
 
     def strategies(self) -> list[str]:
-        return [s.strip() for s in self.raw["strategy"].split(",") if s.strip()]
+        return _parse_list(self.raw["strategy"], "strategy", str)
 
     def ints(self, key: str) -> list[int]:
-        return _parse_int_list(self.raw[key], key)
+        return _parse_list(self.raw[key], key, int)
 
     def out_dir(self) -> Path:
         out = Path(self.raw["out"])
@@ -237,6 +237,15 @@ def cmd_evaluate(settings: Settings) -> int:
     return 0
 
 
+@dataclass
+class StrategyTiming:
+    """One row of ``benchmark.csv``."""
+
+    strategy: str
+    median_ms: float
+    p95_ms: float
+
+
 def cmd_benchmark(settings: Settings) -> int:
     g = settings.load_graph()
     budget = settings.scalar_int("budgets")
@@ -247,48 +256,55 @@ def cmd_benchmark(settings: Settings) -> int:
     pr_params = settings.params(PageRankParams)
     strategies = settings.strategies()
     check_plan(g, strategies, [budget], list(range(repetitions)))
-    out_dir = settings.out_dir()
-    rows = []
-    for strategy in strategies:
-        times = [
-            run_strategy(strategy, g, budget, rep, scan_params, pr_params).query_time_ms
-            for rep in range(repetitions)
-        ]
-        median = float(np.median(times))
-        p95 = float(np.percentile(times, 95))
-        rows.append((strategy, median, p95))
-        print(f"{strategy}: median={median:.3f} ms p95={p95:.3f} ms (n={repetitions})")
-    bench_path = out_dir / "benchmark.csv"
-    with bench_path.open("w", encoding="utf-8") as f:
-        f.write("strategy,median_ms,p95_ms\n")
-        for strategy, median, p95 in rows:
-            f.write(f"{strategy},{median},{p95}\n")
+    bench_path = settings.out_dir() / "benchmark.csv"
+
+    def timings() -> Iterator[StrategyTiming]:
+        for strategy in strategies:
+            times = [
+                run_strategy(strategy, g, budget, rep, scan_params, pr_params).query_time_ms
+                for rep in range(repetitions)
+            ]
+            row = StrategyTiming(strategy, float(np.median(times)), float(np.percentile(times, 95)))
+            print(f"{strategy}: median={row.median_ms:.3f} ms p95={row.p95_ms:.3f} ms "
+                  f"(n={repetitions})")
+            yield row
+
+    write_records_csv(bench_path, StrategyTiming, timings())
     print(f"wrote {bench_path}")
     return 0
+
+
+@dataclass
+class SweepPoint:
+    """One row of ``sweep.csv``."""
+
+    epsilon: float
+    mu: int
+    num_communities: int
+    num_outliers: int
+    largest_community: int
 
 
 def cmd_sweep(settings: Settings) -> int:
     g = settings.load_graph()
     raw = settings.raw
-    epsilons = _parse_float_list(raw.get("epsilon", str(ScanParams.epsilon)), "epsilon")
-    mus = _parse_int_list(raw.get("mu", str(ScanParams.mu)), "mu")
+    epsilons = _parse_list(raw.get("epsilon", str(ScanParams.epsilon)), "epsilon")
+    mus = _parse_list(raw.get("mu", str(ScanParams.mu)), "mu", int)
     # every grid point is checked before sweep.csv is opened
     grid = [ScanParams(epsilon=epsilon, mu=mu) for epsilon in epsilons for mu in mus]
     sweep_path = settings.out_dir() / "sweep.csv"
-    with sweep_path.open("w", encoding="utf-8") as f:
-        f.write("epsilon,mu,num_communities,num_outliers,largest_community\n")
+
+    def points() -> Iterator[SweepPoint]:
         for params in grid:
             assignment = scan_partition(g, params)
-            largest = max((len(c) for c in assignment.communities), default=0)
-            f.write(
-                f"{params.epsilon},{params.mu},{assignment.num_communities},"
-                f"{len(assignment.outliers)},{largest}\n"
-            )
-            print(
-                f"epsilon={params.epsilon} mu={params.mu}: "
-                f"{assignment.num_communities} communities, "
-                f"{len(assignment.outliers)} outliers"
-            )
+            point = SweepPoint(params.epsilon, params.mu, assignment.num_communities,
+                               len(assignment.outliers),
+                               max((len(c) for c in assignment.communities), default=0))
+            print(f"epsilon={point.epsilon} mu={point.mu}: {point.num_communities} "
+                  f"communities, {point.num_outliers} outliers")
+            yield point
+
+    write_records_csv(sweep_path, SweepPoint, points())
     print(f"wrote {sweep_path}")
     return 0
 

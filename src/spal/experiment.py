@@ -4,11 +4,9 @@ and budget."""
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -17,6 +15,7 @@ import numpy as np
 from . import gcn
 from .graph import AttributedGraph
 from .metrics import accuracy, macro_f1
+from .output import write_json, write_records_csv
 from .pagerank import PageRankParams
 from .scan import ScanParams
 from .selection import (
@@ -68,29 +67,15 @@ class EvalReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
-
-
-def _write_csv(records: Iterable, record_type: type, path: str | Path) -> None:
-    """One row per record, columns named after the dataclass fields; every row
-    is flushed as written, so an aborted grid keeps its partial results."""
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=[fld.name for fld in fields(record_type)])
-        writer.writeheader()
-        f.flush()
-        for r in records:
-            writer.writerow(vars(r))
-            f.flush()
+        write_json(path, self.to_dict())
 
 
 def write_runs_csv(runs: Iterable[RunRecord], path: str | Path) -> None:
-    _write_csv(runs, RunRecord, path)
+    write_records_csv(path, RunRecord, runs)
 
 
 def write_aggregates_csv(aggregates: Iterable[AggregateRecord], path: str | Path) -> None:
-    _write_csv(aggregates, AggregateRecord, path)
+    write_records_csv(path, AggregateRecord, aggregates)
 
 
 def run_strategy(
@@ -158,10 +143,14 @@ def check_plan(
     g: AttributedGraph, strategies: list[str], budgets: list[int], seeds: list[int]
 ) -> list[tuple[str, int, int]]:
     """The (strategy, budget, seed) runs in order, once every list is
-    non-empty and every strategy accepts every budget on ``g``."""
+    non-empty, every seed is non-negative and every strategy accepts every
+    budget on ``g``."""
     if not strategies or not budgets or not seeds:
         raise ValueError("strategies, budgets, and seeds must be non-empty")
     check_strategies(strategies)
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
     for name, b in itertools.product(strategies, budgets):
         check_budget(name, b, g.num_nodes)
     return list(itertools.product(strategies, budgets, seeds))

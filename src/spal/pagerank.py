@@ -3,6 +3,7 @@ subgraph of a node subset, or batched over many disjoint subsets at once."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,8 @@ class PageRankParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.damping < 1.0:
             raise ValueError(f"damping must be in [0, 1), got {self.damping}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

@@ -4,7 +4,6 @@ thresholds."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import AttributedGraph
+from .output import write_csv
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,4 @@ def scan_partition(g: AttributedGraph, params: ScanParams | None = None) -> Comm
 
 def write_communities_csv(assignment: CommunityAssignment, path: str | Path) -> None:
     """Write ``node_id,community_id`` rows (community_id -1 for outliers)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["node_id", "community_id"])
-        for node, cid in enumerate(assignment.community_of):
-            writer.writerow([node, int(cid)])
+    write_csv(path, ("node_id", "community_id"), [enumerate(assignment.community_of.tolist())])

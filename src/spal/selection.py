@@ -5,7 +5,6 @@ per-node provenance and the wall-clock query time."""
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -15,6 +14,7 @@ import numpy as np
 
 from .graph import AttributedGraph, node_index, propagate
 from .kmedoids import kmedoids
+from .output import write_json
 from .pagerank import PageRankParams, ScoreVector, pagerank, pagerank_blocks
 from .scan import ScanParams, scan_partition
 
@@ -94,9 +94,7 @@ class SelectionResult:
         }
 
     def write_json(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
 
 def _warn_unconverged(

@@ -61,6 +61,15 @@ class TestPartition:
         assert len(rows) == 6
         assert {r["community_id"] for r in rows} == {"0", "1"}
 
+    def test_golden_bytes(self, tmp_path):
+        assert main([
+            "partition", "--synthetic", TWO_TRIANGLES, "--epsilon", "0.7", "--out", str(tmp_path),
+        ]) == 0
+        assert (tmp_path / "communities.csv").read_bytes() == (
+            # the triangles are {0, 2, 3} and {1, 4, 5}
+            b"node_id,community_id\r\n0,0\r\n1,1\r\n2,0\r\n3,0\r\n4,1\r\n5,1\r\n"
+        )
+
     def test_unsatisfiable_all_outliers(self, tmp_path, capsys):
         rc = main([
             "partition", "--synthetic", "sbm:2,40,0.2,0.05,1.0,1",
@@ -224,6 +233,28 @@ class TestEvaluate:
         lines = (tmp_path / "runs.csv").read_text().splitlines()
         assert lines[0].startswith("strategy,")  # header flushed before abort
 
+    def test_runs_before_a_failing_run_stay_on_disk(self, tmp_path, graph_files, monkeypatch):
+        from spal import experiment
+
+        real_run_single = experiment.run_single
+        on_disk = []
+
+        def fail_on_second_seed(strategy, g, budget, seed, *args):
+            if seed == 1:
+                on_disk.append(read_rows(tmp_path / "runs.csv"))
+                raise ValueError("run failed")
+            return real_run_single(strategy, g, budget, seed, *args)
+
+        monkeypatch.setattr(experiment, "run_single", fail_on_second_seed)
+        rc = main([
+            "evaluate", *graph_files, "--strategy", "random", "--budgets", "3",
+            "--seeds", "0,1", "--epochs", "5", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        # the first run's row was on disk while the second run was failing
+        assert [(r["strategy"], r["seed"]) for r in on_disk[0]] == [("random", "0")]
+        assert read_rows(tmp_path / "runs.csv") == on_disk[0]
+
     def test_non_finite_lr_rejected_before_training(self, tmp_path, graph_files, capsys):
         # nan used to pass the config check and surface only as divergence
         rc = main([
@@ -239,6 +270,7 @@ class TestEvaluate:
         (["--epsilon", "2"], "error: epsilon must be in [0, 1], got 2.0"),
         (["--budgets", "999"], "error: budget 999 outside [1, 30): no node would be left"),
         (["--budgets", "30"], "error: budget 30 outside [1, 30): no node would be left"),
+        (["--seeds", "-1"], "error: seed must be >= 0, got -1"),
     ])
     def test_bad_setting_rejected_before_runs_csv(
         self, tmp_path, graph_files, capsys, flags, message
@@ -259,8 +291,9 @@ class TestBenchmark:
             "--budgets", "4", "--repetitions", "3", "--out", str(tmp_path),
         ])
         assert rc == 0
-        lines = (tmp_path / "benchmark.csv").read_text().strip().splitlines()
-        assert lines[0] == "strategy,median_ms,p95_ms"
+        data = (tmp_path / "benchmark.csv").read_bytes()
+        assert data.startswith(b"strategy,median_ms,p95_ms\r\n")
+        lines = data.decode().strip().splitlines()
         assert len(lines) == 3
         for line in lines[1:]:
             name, median, p95 = line.split(",")
@@ -311,6 +344,43 @@ class TestSweep:
             ("0.3", "1"), ("0.3", "2"), ("0.5", "1"), ("0.5", "2"),
         }
 
+    def test_golden_bytes(self, tmp_path):
+        rc = main([
+            "sweep", "--synthetic", TWO_TRIANGLES, "--epsilon", "0.5,1", "--mu", "2,4",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == (
+            b"epsilon,mu,num_communities,num_outliers,largest_community\r\n"
+            b"0.5,2,2,0,3\r\n"
+            b"0.5,4,0,6,0\r\n"
+            b"1.0,2,2,0,3\r\n"
+            b"1.0,4,0,6,0\r\n"
+        )
+
+    def test_points_before_a_failing_point_stay_on_disk(self, tmp_path, monkeypatch):
+        from spal import cli
+
+        real_scan_partition = cli.scan_partition
+        on_disk = []
+
+        def fail_on_second_mu(g, params):
+            if params.mu == 3:
+                on_disk.append((tmp_path / "sweep.csv").read_bytes())
+                raise ValueError("partition failed")
+            return real_scan_partition(g, params)
+
+        monkeypatch.setattr(cli, "scan_partition", fail_on_second_mu)
+        rc = main([
+            "sweep", "--synthetic", TWO_TRIANGLES, "--epsilon", "0.5", "--mu", "2,3",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        # the first point's row was on disk while the second point was failing
+        assert on_disk == [
+            b"epsilon,mu,num_communities,num_outliers,largest_community\r\n0.5,2,2,0,3\r\n"
+        ]
+        assert (tmp_path / "sweep.csv").read_bytes() == on_disk[0]
 
     def test_every_grid_point_checked_before_sweep_csv(self, tmp_path, graph_files, capsys):
         rc = main([
@@ -319,6 +389,25 @@ class TestSweep:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: epsilon must be in [0, 1], got 2.0")
         assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["partition"], ["communities.csv"]),
+    (["evaluate", "--strategy", "random,spa", "--budgets", "2,3", "--seeds", "0,1",
+      "--epochs", "2"], ["runs.csv", "aggregates.csv"]),
+    (["benchmark", "--strategy", "random,spa", "--budgets", "2", "--repetitions", "2"],
+     ["benchmark.csv"]),
+    (["sweep", "--epsilon", "0.5,0.9", "--mu", "1,2"], ["sweep.csv"]),
+])
+def test_every_csv_line_ends_in_crlf(tmp_path, argv, written):
+    """Also checks each header against README's "Output files" list."""
+    section = README.read_text(encoding="utf-8").split("## Output files\n", 1)[1]
+    documented = dict(re.findall(r"- `(\w+\.csv)` \(`\w+`\):\s+`([\w,]+)`", section))
+    assert main([*argv, "--synthetic", TWO_TRIANGLES, "--out", str(tmp_path)]) == 0
+    for name in written:
+        data = (tmp_path / name).read_bytes()
+        assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n") >= 2, name
+        assert data.split(b"\r\n", 1)[0].decode() == documented[name]
 
 
 class TestIdempotency:
@@ -415,6 +504,14 @@ class TestFlags:
          "error: --weight-decay expects a single value here, got 2"),
         (["evaluate", "--budgets", "3", "--jobs", "0"], "error: jobs must be >= 1, got 0"),
         (["evaluate", "--budgets", "3", "--jobs", "-3"], "error: jobs must be >= 1, got -3"),
+        (["select", "--strategy", " , "], "error: --strategy expects at least one value"),
+        (["evaluate", "--budgets", ","], "error: --budgets expects at least one value"),
+        (["sweep", "--epsilon", ","], "error: --epsilon expects at least one value, got ','"),
+        (["sweep", "--mu", ","], "error: --mu expects at least one value, got ','"),
+        (["select", "--strategy", "spa,random", "--budgets", "3", "--seeds", "-1"],
+         "error: seed must be >= 0, got -1"),
+        (["select", "--strategy", "pagerank", "--budgets", "3", "--tolerance", "nan"],
+         "error: tolerance must be positive and finite, got nan"),
     ])
     def test_bad_value_names_the_flag(self, tmp_path, capsys, argv, message):
         rc = main([*argv, "--synthetic", TWO_TRIANGLES, "--out", str(tmp_path)])

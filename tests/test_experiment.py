@@ -99,6 +99,7 @@ class TestCheckPlan:
         (["spa", "banana"], [2], [0], "unknown strategy 'banana'"),
         (["spa"], [2, 0], [0], "budget must be >= 1, got 0"),
         (["spa", "featprop"], [2, 61], [0], "cannot place 61 medoids among 60 nodes"),
+        (["spa"], [2], [0, -1], "seed must be >= 0, got -1"),
     ])
     def test_rejects(self, small_sbm, strategies, budgets, seeds, match):
         with pytest.raises(ValueError, match=re.escape(match)):

@@ -21,6 +21,9 @@ class TestParams:
             PageRankParams(damping=-0.1)
         with pytest.raises(ValueError):
             PageRankParams(tolerance=0.0)
+        for bad in ("nan", "inf"):
+            with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+                PageRankParams(tolerance=float(bad))
         with pytest.raises(ValueError):
             PageRankParams(max_iterations=0)
 
