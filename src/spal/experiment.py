@@ -143,14 +143,19 @@ def check_plan(
     g: AttributedGraph, strategies: list[str], budgets: list[int], seeds: list[int]
 ) -> list[tuple[str, int, int]]:
     """The (strategy, budget, seed) runs in order, once every list is
-    non-empty, every seed is non-negative and every strategy accepts every
-    budget on ``g``."""
+    non-empty and free of repeats, every seed is non-negative and every
+    strategy accepts every budget on ``g``."""
     if not strategies or not budgets or not seeds:
         raise ValueError("strategies, budgets, and seeds must be non-empty")
     check_strategies(strategies)
     for seed in seeds:
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
+    # a repeat would be run again and counted as one more independent run
+    for what, values in (("strategy", strategies), ("budget", budgets), ("seed", seeds)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"repeated {what} {repeated[0]!r}")
     for name, b in itertools.product(strategies, budgets):
         check_budget(name, b, g.num_nodes)
     return list(itertools.product(strategies, budgets, seeds))

@@ -136,6 +136,62 @@ def pagerank_dense_solve(g, damping: float, subset=None) -> tuple[np.ndarray, np
     return ids, scores
 
 
+def block_power_reference(g, blocks, params: PageRankParams):
+    """Lockstep power iteration over concatenated block positions, one
+    per-edge ``np.bincount`` scatter per iteration; a block freezes once its
+    own L1 step drops below the tolerance. ``blocks`` are sorted, unique and
+    disjoint. Returns (scores over the concatenated blocks, per-block
+    iteration counts, per-block converged flags), which
+    ``spal.pagerank``'s CSR loop must match to the bit."""
+    k = len(blocks)
+    sizes = np.array([len(b) for b in blocks], dtype=np.int64)
+    total = int(sizes.sum())
+    nodes_cat = np.concatenate(blocks) if total else np.empty(0, dtype=np.int64)
+    block_of = np.repeat(np.arange(k, dtype=np.int64), sizes)
+
+    pos = np.full(g.num_nodes, -1, dtype=np.int64)
+    pos[nodes_cat] = np.arange(total, dtype=np.int64)
+
+    # induced edges: both endpoints inside the same block
+    src_global = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.degrees)
+    sp, dp = pos[src_global], pos[g.csr_targets]
+    keep = (sp >= 0) & (dp >= 0)
+    sp, dp = sp[keep], dp[keep]
+    same = block_of[sp] == block_of[dp]
+    sp, dp = sp[same], dp[same]
+
+    deg = np.bincount(sp, minlength=total).astype(np.float64)
+    dangling = np.flatnonzero(deg == 0.0)
+    safe_deg = np.where(deg == 0.0, 1.0, deg)
+
+    d = params.damping
+    n_block = sizes.astype(np.float64)
+    pr = (1.0 / n_block)[block_of]
+    active = np.ones(k, dtype=bool)
+    converged = np.zeros(k, dtype=bool)
+    iterations = np.full(k, params.max_iterations, dtype=np.int64)
+
+    for it in range(1, params.max_iterations + 1):
+        contrib = pr / safe_deg
+        nxt = np.bincount(dp, weights=contrib[sp], minlength=total)
+        nxt = nxt.astype(np.float64, copy=False)  # empty bincount yields int64
+        nxt *= d
+        dangling_mass = np.bincount(
+            block_of[dangling], weights=pr[dangling], minlength=k
+        ).astype(np.float64, copy=False)
+        nxt += ((1.0 - d) / n_block + d * dangling_mass / n_block)[block_of]
+        nxt = np.where(active[block_of], nxt, pr)  # frozen blocks hold still
+        step = np.bincount(block_of, weights=np.abs(nxt - pr), minlength=k)
+        pr = nxt
+        settled = active & (step < params.tolerance)
+        iterations[settled] = it
+        converged |= settled
+        active &= ~settled
+        if not active.any():
+            break
+    return pr, iterations, converged
+
+
 def spa_select_reference(g, scan_params=None, pr_params=None, b: int = 1) -> SelectionResult:
     """``spal.spa_select`` as a per-community record loop with Python sorts:
     each block's first exact score maximum in id order is its representative,

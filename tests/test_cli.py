@@ -271,6 +271,7 @@ class TestEvaluate:
         (["--budgets", "999"], "error: budget 999 outside [1, 30): no node would be left"),
         (["--budgets", "30"], "error: budget 30 outside [1, 30): no node would be left"),
         (["--seeds", "-1"], "error: seed must be >= 0, got -1"),
+        (["--seeds", "0,0"], "error: repeated seed 0"),
     ])
     def test_bad_setting_rejected_before_runs_csv(
         self, tmp_path, graph_files, capsys, flags, message
@@ -512,6 +513,9 @@ class TestFlags:
          "error: seed must be >= 0, got -1"),
         (["select", "--strategy", "pagerank", "--budgets", "3", "--tolerance", "nan"],
          "error: tolerance must be positive and finite, got nan"),
+        (["select", "--strategy", "random,random", "--budgets", "3"],
+         "error: repeated strategy 'random'"),
+        (["select", "--strategy", "random", "--budgets", "3,3"], "error: repeated budget 3"),
     ])
     def test_bad_value_names_the_flag(self, tmp_path, capsys, argv, message):
         rc = main([*argv, "--synthetic", TWO_TRIANGLES, "--out", str(tmp_path)])

@@ -100,6 +100,9 @@ class TestCheckPlan:
         (["spa"], [2, 0], [0], "budget must be >= 1, got 0"),
         (["spa", "featprop"], [2, 61], [0], "cannot place 61 medoids among 60 nodes"),
         (["spa"], [2], [0, -1], "seed must be >= 0, got -1"),
+        (["spa", "random", "spa"], [2], [0], "repeated strategy 'spa'"),
+        (["spa"], [2, 3, 2], [0], "repeated budget 2"),
+        (["random"], [2], [0, 1, 0, 1], "repeated seed 0"),
     ])
     def test_rejects(self, small_sbm, strategies, budgets, seeds, match):
         with pytest.raises(ValueError, match=re.escape(match)):
