@@ -45,6 +45,17 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> AttributedGraph:
             return make_graph(edges, num_nodes=n)
 
 
+def heavy_tailed_graph() -> AttributedGraph:
+    """A fixed 2e4-node draw with ~8e4 edges and power-law degrees, for the
+    peak-memory tests."""
+    rng = np.random.default_rng(43)
+    n = 20_000
+    weights = np.arange(1, n + 1) ** -0.5
+    edges = rng.choice(n, size=(80_000, 2), p=weights / weights.sum())
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    return from_edges(edges, np.zeros((n, 1)), np.zeros(n, dtype=np.int64))
+
+
 @pytest.fixture
 def triangle():
     return make_graph([(0, 1), (1, 2), (0, 2)])

@@ -8,6 +8,7 @@ import itertools
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from spal.gcn import TrainConfig, TrainingDivergedError, _adam_step, _softmax, init_model
@@ -110,6 +111,19 @@ def scan_brute_force(g, epsilon: float, mu: int):
         seen |= component
         communities.add(frozenset(component))
     return communities, frozenset(outliers)
+
+
+def edge_overlap_reference(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, |N[i] ∩ N[j]|) for every edge i < j in (i, j) order, from the
+    sparse product A·A: adjacent i and j share their common neighbors plus
+    themselves, so the closed overlap is (A·A)[i, j] + 2."""
+    n = g.num_nodes
+    ones = np.ones(g.csr_targets.size, dtype=np.int64)
+    A = sp.csr_array((ones, g.csr_targets, g.csr_offsets), shape=(n, n))
+    upper = sp.triu(A, k=1, format="coo")
+    order = np.lexsort((upper.col, upper.row))
+    i, j = upper.row[order].astype(np.int64), upper.col[order].astype(np.int64)
+    return i, j, (A @ A)[i, j] + 2
 
 
 def pagerank_dense_solve(g, damping: float, subset=None) -> tuple[np.ndarray, np.ndarray]:

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 import spal
-from spal.graph import from_edges
 from spal.pagerank import PageRankParams, pagerank, pagerank_blocks
 
-from conftest import make_graph, random_graph
+from conftest import heavy_tailed_graph, make_graph, random_graph
 from oracles import block_power_reference, pagerank_dense_solve
 
 # the module, not the function ``spal/__init__.py`` binds over its name
@@ -38,6 +37,11 @@ class TestParams:
                 PageRankParams(tolerance=float(bad))
         with pytest.raises(ValueError):
             PageRankParams(max_iterations=0)
+        # 2.5 used to reach range() and fail there; True acted as a cap of 1
+        for bad in (2.5, True, np.float64(3.0), "10"):
+            with pytest.raises(ValueError, match="max_iterations must be an integer"):
+                PageRankParams(max_iterations=bad)
+        assert PageRankParams(max_iterations=np.int64(7)).max_iterations == 7
 
 
 class TestPageRank:
@@ -240,13 +244,8 @@ class TestMatchesLockstepReference:
 
 
 def test_whole_graph_peak_memory():
-    # heavy-tailed draw, 2e4 nodes and ~8e4 edges
-    rng = np.random.default_rng(43)
-    n = 20_000
-    weights = np.arange(1, n + 1) ** -0.5
-    edges = rng.choice(n, size=(80_000, 2), p=weights / weights.sum())
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    g = from_edges(edges, np.zeros((n, 1)), np.zeros(n, dtype=np.int64))
+    g = heavy_tailed_graph()
+    n = g.num_nodes
     tracemalloc.start()
     try:
         pagerank(g)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spal import scan
 from spal.scan import ScanParams, scan_partition, structural_similarity, write_communities_csv
 
-from conftest import make_graph, random_graph
-from oracles import scan_brute_force
+from conftest import heavy_tailed_graph, make_graph, random_graph
+from oracles import edge_overlap_reference, scan_brute_force
 
 
 def as_sets(assignment):
@@ -62,6 +65,68 @@ class TestStructuralSimilarity:
                     assert structural_similarity(g, i, j) == pytest.approx(expected)
 
 
+def overlap_cases():
+    """Graphs for the edge-overlap oracle: random draws, whose small degrees
+    tie often, circulants (every degree equal), stars, cliques, K2,n with
+    and without the edge between its two hubs, and one edge among isolated
+    nodes."""
+    rng = np.random.default_rng(16)
+    graphs = [random_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.6)))
+              for _ in range(20)]
+    for n, hops in [(9, (1,)), (12, (1, 2)), (15, (1, 3, 4)), (16, (1, 2, 3, 5))]:
+        graphs.append(make_graph([(v, (v + h) % n) for v in range(n) for h in hops]))
+    for k in (1, 2, 7):
+        graphs.append(make_graph([(0, v) for v in range(1, k + 1)]))
+    for k in (2, 3, 6):
+        graphs.append(make_graph(list(itertools.combinations(range(k), 2))))
+    for k in (1, 5):
+        k2n = [(hub, v) for hub in (0, 1) for v in range(2, k + 2)]
+        graphs += [make_graph(k2n), make_graph(k2n + [(0, 1)])]
+    graphs.append(make_graph([(2, 5)], num_nodes=8))
+    return graphs
+
+
+class TestEdgeOverlap:
+    @pytest.mark.parametrize("chunk", [1, 2, 5, None])
+    def test_matches_sparse_product(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(scan, "_LOOKUP_CHUNK", chunk)
+        for g in overlap_cases():
+            i, j, common = scan._edge_overlap(g)
+            ref_i, ref_j, ref_common = edge_overlap_reference(g)
+            assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+            assert np.array_equal(common, ref_common)
+            assert common.dtype == np.int64
+
+    def test_similarity_bit_identical(self):
+        # the threshold's similarity, from the edge pass and from the oracle's
+        # counts, equals the one-pair function's to the bit
+        for g in overlap_cases():
+            sizes = (g.degrees + 1).astype(np.float64)
+            i, j, common = scan._edge_overlap(g)
+            _, _, ref_common = edge_overlap_reference(g)
+            sim = common / np.sqrt(sizes[i] * sizes[j])
+            ref_sim = ref_common / np.sqrt(sizes[i] * sizes[j])
+            pair_sim = [structural_similarity(g, int(a), int(b)) for a, b in zip(i, j)]
+            assert np.array_equal(sim.view(np.int64), ref_sim.view(np.int64))
+            assert np.array_equal(sim.view(np.int64), np.array(pair_sim).view(np.int64))
+
+
+def test_scan_peak_memory():
+    g = heavy_tailed_graph()  # ~1.4e5 wedges, so the edge pass takes 3 chunks
+    params = ScanParams(0.3, 2)
+    scan_partition(g, params)  # imports csgraph, whose memory is not SCAN's
+    tracemalloc.start()
+    try:
+        scan_partition(g, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Measured here: 70 B per CSR entry, as for the per-pair lookups before
+    # the edge pass; checking every wedge in one chunk peaks at 90 B.
+    assert peak < 80 * g.csr_targets.size
+
+
 class TestScanParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,6 +135,13 @@ class TestScanParams:
             ScanParams(epsilon=-0.1)
         with pytest.raises(ValueError):
             ScanParams(mu=0)
+
+    def test_mu_must_be_an_integer(self):
+        # 2.5 used to act as 3 and True as 1
+        for bad in (2.5, True, np.float64(2.0), "2"):
+            with pytest.raises(ValueError, match="mu must be an integer"):
+                ScanParams(mu=bad)
+        assert ScanParams(mu=np.int64(3)).mu == 3
 
 
 class TestScanPartition:
