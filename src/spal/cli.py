@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
@@ -32,7 +31,7 @@ from .gcn import TrainConfig
 from .graph import AttributedGraph, GraphLoadError, load_graph
 from .output import write_records_csv
 from .pagerank import PageRankParams
-from .scan import ScanParams, scan_partition, write_communities_csv
+from .scan import ScanParams, scan_partition, scan_sweep, write_communities_csv
 from .synthetic import parse_synthetic_spec
 
 # Every settings flag once, with its help text. A flag that sets a field of
@@ -175,8 +174,8 @@ def cmd_partition(settings: Settings) -> int:
     assignment = scan_partition(g, settings.params(ScanParams))
     out = settings.out_dir() / "communities.csv"
     write_communities_csv(assignment, out)
-    sizes = Counter(len(c) for c in assignment.communities)
-    histogram = " ".join(f"{size}x{count}" for size, count in sorted(sizes.items()))
+    sizes, counts = np.unique(assignment.sizes, return_counts=True)
+    histogram = " ".join(f"{size}x{count}" for size, count in zip(sizes, counts))
     print(f"communities: {assignment.num_communities}")
     print(f"outliers: {len(assignment.outliers)}")
     print(f"size histogram: {histogram or '-'}")
@@ -295,11 +294,10 @@ def cmd_sweep(settings: Settings) -> int:
     sweep_path = settings.out_dir() / "sweep.csv"
 
     def points() -> Iterator[SweepPoint]:
-        for params in grid:
-            assignment = scan_partition(g, params)
-            point = SweepPoint(params.epsilon, params.mu, assignment.num_communities,
-                               len(assignment.outliers),
-                               max((len(c) for c in assignment.communities), default=0))
+        for params, assignment in zip(grid, scan_sweep(g, grid)):
+            sizes = assignment.sizes
+            point = SweepPoint(params.epsilon, params.mu, sizes.size,
+                               g.num_nodes - int(sizes.sum()), int(sizes.max(initial=0)))
             print(f"epsilon={point.epsilon} mu={point.mu}: {point.num_communities} "
                   f"communities, {point.num_outliers} outliers")
             yield point

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import AttributedGraph, NormalizedAdjacency, node_index
+from .graph import AttributedGraph, NormalizedAdjacency, check_int, node_index
 
 _PROB_FLOOR = 1e-12
 _ADAM_BETA1 = 0.9
@@ -52,10 +52,9 @@ class TrainConfig:
             raise ValueError(
                 f"weight_decay must be non-negative and finite, got {self.weight_decay}"
             )
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.hidden_units < 1:
-            raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
+        check_int(self.epochs, "epochs", 1)
+        check_int(self.hidden_units, "hidden_units", 1)
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass(eq=False)

@@ -4,6 +4,7 @@ and the GCN."""
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +56,15 @@ class AttributedGraph:
         return self.csr_targets[self.csr_offsets[v] : self.csr_offsets[v + 1]]
 
 
+def check_int(value, name: str, minimum: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer
+    (numpy integers count, bools do not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def node_index(
     ids, num_nodes: int, what: str, *, allow_empty: bool = False
 ) -> np.ndarray:
@@ -77,6 +87,14 @@ def node_index(
     return idx
 
 
+def _integer_array(values, what: str) -> np.ndarray:
+    """``values`` as int64; a GraphLoadError naming ``what`` unless they are integers."""
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.integer):
+        raise GraphLoadError(f"{what} must be integers, got dtype {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 def from_edges(
     edges: np.ndarray,
     features: np.ndarray,
@@ -87,12 +105,13 @@ def from_edges(
     """Build a validated graph from an (k, 2) int array of undirected edges.
 
     Edges are symmetrized and deduplicated; ``edges`` must already be free
-    of self-loops (the loaders strip and count them).
+    of self-loops (the loaders strip and count them). Edge and label arrays
+    must hold integers: float values are rejected, not truncated.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     if features.ndim == 1:
         features = features.reshape(-1, 1)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
     n = features.shape[0]
     if n == 0:
         raise GraphLoadError("empty graph: no nodes")
@@ -100,15 +119,17 @@ def from_edges(
         raise GraphLoadError(
             f"row-count mismatch: {n} feature rows vs {labels.shape[0]} labels"
         )
+    labels = _integer_array(labels, "labels")
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise GraphLoadError(f"feature row {np.argmin(finite)} holds a non-finite value")
     if labels.min() < 0:
         raise GraphLoadError("labels must be non-negative integers")
 
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.shape[0] == 0:
+    edges = np.asarray(edges)
+    if edges.size == 0:
         raise GraphLoadError("empty graph: no edges")
+    edges = _integer_array(edges, "edge node ids").reshape(-1, 2)
     if edges.min() < 0 or edges.max() >= n:
         bad = edges[(edges < 0).any(axis=1) | (edges >= n).any(axis=1)][0]
         raise GraphLoadError(f"edge ({bad[0]}, {bad[1]}) references node id >= {n}")

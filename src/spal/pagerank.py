@@ -8,13 +8,12 @@ blocks still iterating, with scores bit-identical to a per-edge
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import AttributedGraph, node_index
+from .graph import AttributedGraph, check_int, node_index
 
 
 @dataclass(frozen=True)
@@ -28,12 +27,7 @@ class PageRankParams:
             raise ValueError(f"damping must be in [0, 1), got {self.damping}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if isinstance(self.max_iterations, bool) or not isinstance(
-            self.max_iterations, numbers.Integral
-        ):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        check_int(self.max_iterations, "max_iterations", 1)
 
 
 @dataclass(eq=False)

@@ -6,19 +6,21 @@ The overlaps come from one pass over the edges that does not depend on
 epsilon or mu: for adjacent i and j, |N[i] ∩ N[j]| is the number of
 triangles on edge (i, j) plus 2, and each triangle is listed once, from
 its corner of lowest (degree, id) rank. That takes O(m·sqrt(m)) wedge
-checks in the worst case (see ``_edge_overlap``); thresholding and
-connected components follow."""
+checks in the worst case (see ``_edge_overlap``). Each (epsilon, mu) point
+is then one threshold step, a mask and connected components, so a sweep
+over many points runs the edge pass once (``scan_sweep``)."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import AttributedGraph
+from .graph import AttributedGraph, check_int
 from .output import write_csv
 
 
@@ -30,10 +32,7 @@ class ScanParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if isinstance(self.mu, bool) or not isinstance(self.mu, numbers.Integral):
-            raise ValueError(f"mu must be an integer, got {self.mu!r}")
-        if self.mu < 1:
-            raise ValueError(f"mu must be >= 1, got {self.mu}")
+        check_int(self.mu, "mu", 1)
 
 
 @dataclass(eq=False)
@@ -42,16 +41,31 @@ class CommunityAssignment:
 
     ``community_of[v]`` is the community id of ``v`` or -1 for outliers.
     Community ids are assigned in ascending order of each community's
-    smallest member, so the partition is reproducible.
+    smallest member, so the partition is reproducible. It is the only
+    stored state; everything else is read from it.
     """
 
     community_of: np.ndarray
-    communities: list[np.ndarray]
-    outliers: np.ndarray
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Member count of each community, by id."""
+        return np.bincount(self.community_of[self.community_of >= 0])
 
     @property
     def num_communities(self) -> int:
-        return len(self.communities)
+        return int(self.community_of.max(initial=-1)) + 1
+
+    @property
+    def outliers(self) -> np.ndarray:
+        return np.flatnonzero(self.community_of < 0)
+
+    @cached_property
+    def communities(self) -> list[np.ndarray]:
+        """Each community's members, ascending, indexed by community id."""
+        members = np.flatnonzero(self.community_of >= 0)
+        by_community = members[np.argsort(self.community_of[members], kind="stable")]
+        return np.split(by_community, np.cumsum(self.sizes)[:-1]) if members.size else []
 
 
 # most wedge lookups held in memory at once; bounds SCAN's transient arrays
@@ -154,8 +168,8 @@ def structural_similarity(g: AttributedGraph, i: int, j: int) -> float:
     return float(common / np.sqrt(float(closed_i.size) * float(closed_j.size)))
 
 
-def scan_partition(g: AttributedGraph, params: ScanParams | None = None) -> CommunityAssignment:
-    """Partition the graph into communities over qualifying edges.
+def scan_sweep(g: AttributedGraph, grid: Iterable[ScanParams]) -> Iterator[CommunityAssignment]:
+    """One partition per point of ``grid``, in order, from one edge pass.
 
     An existing edge (i, j) qualifies when S(i, j) >= epsilon and the
     closed neighborhoods share at least mu nodes; communities are the
@@ -165,29 +179,26 @@ def scan_partition(g: AttributedGraph, params: ScanParams | None = None) -> Comm
     # imported here: scipy.sparse.csgraph adds ~0.13 s to ``import spal``
     from scipy.sparse.csgraph import connected_components
 
-    params = params or ScanParams()
     n = g.num_nodes
     i, j, common = _edge_overlap(g)
-    sizes = (g.degrees + 1).astype(np.float64)
-    sim = common / np.sqrt(sizes[i] * sizes[j])
-    keep = (sim >= params.epsilon) & (common >= params.mu)
-    i, j = i[keep], j[keep]
+    closed = (g.degrees + 1).astype(np.float64)
+    sim = common / np.sqrt(closed[i] * closed[j])
+    for params in grid:
+        keep = (sim >= params.epsilon) & (common >= params.mu)
+        qi, qj = i[keep], j[keep]
+        members = np.unique(np.concatenate([qi, qj]))
+        qualifying = sp.coo_matrix((np.ones(qi.size), (qi, qj)), shape=(n, n))
+        _, component = connected_components(qualifying, directed=False)
+        # members ascend, so a component's first occurrence is its smallest member
+        _, first, inverse = np.unique(component[members], return_index=True, return_inverse=True)
+        community_of = np.full(n, -1, dtype=np.int64)
+        community_of[members] = np.argsort(np.argsort(first))[inverse]
+        yield CommunityAssignment(community_of)
 
-    members = np.unique(np.concatenate([i, j]))
-    qualifying = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
-    _, component = connected_components(qualifying, directed=False)
-    # members ascend, so a component's first occurrence is its smallest member
-    _, first, inverse = np.unique(component[members], return_index=True, return_inverse=True)
-    community_of = np.full(n, -1, dtype=np.int64)
-    community_of[members] = np.argsort(np.argsort(first))[inverse]
 
-    by_community = members[np.argsort(community_of[members], kind="stable")]
-    bounds = np.cumsum(np.bincount(community_of[members]))[:-1]
-    communities = np.split(by_community, bounds) if members.size else []
-    outliers = np.flatnonzero(community_of < 0).astype(np.int64)
-    return CommunityAssignment(
-        community_of=community_of, communities=communities, outliers=outliers
-    )
+def scan_partition(g: AttributedGraph, params: ScanParams | None = None) -> CommunityAssignment:
+    """The partition at one (epsilon, mu) point: ``scan_sweep`` over one point."""
+    return next(scan_sweep(g, [params or ScanParams()]))
 
 
 def write_communities_csv(assignment: CommunityAssignment, path: str | Path) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import AttributedGraph, node_index, propagate
+from .graph import AttributedGraph, check_int, node_index, propagate
 from .kmedoids import kmedoids
 from .output import write_json
 from .pagerank import PageRankParams, ScoreVector, pagerank, pagerank_blocks
@@ -30,10 +30,10 @@ def check_strategies(names) -> None:
 
 def check_budget(name: str, b: int, num_nodes: int) -> None:
     """Raise a ValueError unless strategy ``name`` accepts budget ``b`` on a
-    graph of ``num_nodes`` nodes: b >= 1 always, and b <= num_nodes for
-    featprop, which places one medoid per label (the others saturate)."""
-    if b < 1:
-        raise ValueError(f"budget must be >= 1, got {b}")
+    graph of ``num_nodes`` nodes: b is an integer >= 1 (not a bool) always,
+    and b <= num_nodes for featprop, which places one medoid per label (the
+    others saturate)."""
+    check_int(b, "budget", 1)
     if name == "featprop" and b > num_nodes:
         raise ValueError(f"k-medoids cannot place {b} medoids among {num_nodes} nodes")
 

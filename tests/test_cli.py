@@ -359,19 +359,38 @@ class TestSweep:
             b"1.0,4,0,6,0\r\n"
         )
 
+    def test_edge_pass_runs_once_per_sweep(self, tmp_path, monkeypatch):
+        from spal import scan
+
+        calls = []
+        real_edge_overlap = scan._edge_overlap
+
+        def counted(g):
+            calls.append(g)
+            return real_edge_overlap(g)
+
+        monkeypatch.setattr(scan, "_edge_overlap", counted)
+        rc = main([
+            "sweep", "--synthetic", TWO_TRIANGLES, "--epsilon", "0.3,0.5,1", "--mu", "1,2,4",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        assert len(read_rows(tmp_path / "sweep.csv")) == 9
+        assert len(calls) == 1
+
     def test_points_before_a_failing_point_stay_on_disk(self, tmp_path, monkeypatch):
         from spal import cli
 
-        real_scan_partition = cli.scan_partition
+        real_scan_sweep = cli.scan_sweep
         on_disk = []
 
-        def fail_on_second_mu(g, params):
-            if params.mu == 3:
-                on_disk.append((tmp_path / "sweep.csv").read_bytes())
-                raise ValueError("partition failed")
-            return real_scan_partition(g, params)
+        def fail_on_second_mu(g, grid):
+            # the sweep yields the real first point, then fails on the second
+            yield next(real_scan_sweep(g, grid[:1]))
+            on_disk.append((tmp_path / "sweep.csv").read_bytes())
+            raise ValueError("partition failed")
 
-        monkeypatch.setattr(cli, "scan_partition", fail_on_second_mu)
+        monkeypatch.setattr(cli, "scan_sweep", fail_on_second_mu)
         rc = main([
             "sweep", "--synthetic", TWO_TRIANGLES, "--epsilon", "0.5", "--mu", "2,3",
             "--out", str(tmp_path),

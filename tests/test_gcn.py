@@ -258,6 +258,26 @@ class TestTrain:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5),
+        ("epochs", True),
+        ("hidden_units", 2.5),
+        ("hidden_units", np.float64(16.0)),
+        ("seed", 1.5),
+        ("seed", False),
+    ])
+    def test_config_integer_fields_reject_non_integers(self, field, value):
+        # 2.5 used to reach gcn.train or numpy's SeedSequence and fail there,
+        # and epochs=True trained one epoch
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    def test_config_seed_non_negative_and_numpy_integers_accepted(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+        cfg = TrainConfig(epochs=np.int64(3), hidden_units=np.int32(4), seed=np.int64(0))
+        assert (cfg.epochs, cfg.hidden_units, cfg.seed) == (3, 4, 0)
+
     def test_config_accepts_zero_weight_decay(self):
         assert TrainConfig(weight_decay=0.0, hidden_units=1).weight_decay == 0.0
 

@@ -195,6 +195,27 @@ class TestLoadGraph:
         with pytest.raises(GraphLoadError, match="row 1 "):
             from_edges([[0, 1], [1, 2]], [[1.0], [bad], [0.0]], [0, 1, 0])
 
+    def test_float_edges_rejected_not_truncated(self):
+        # these used to become edges (0, 1) and (1, 2)
+        with pytest.raises(GraphLoadError, match="edge node ids must be integers"):
+            from_edges(np.array([[0.5, 1.7], [1.2, 2.9]]), np.zeros((3, 1)), [0, 1, 0])
+
+    def test_float_labels_rejected_not_truncated(self):
+        # these used to become [0, 1, 0]
+        with pytest.raises(GraphLoadError, match="labels must be integers"):
+            from_edges([[0, 1], [1, 2]], np.zeros((3, 1)), np.array([0.5, 1.7, 0]))
+
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2)), np.empty((0, 2), dtype=np.int64)])
+    def test_empty_edge_list_still_reports_no_edges(self, edges):
+        with pytest.raises(GraphLoadError, match="no edges"):
+            from_edges(edges, np.zeros((3, 1)), [0, 1, 0])
+
+    def test_any_integer_dtype_accepted(self):
+        g = from_edges(np.array([[0, 1], [1, 2]], dtype=np.int32), np.zeros((3, 1)),
+                       np.array([0, 1, 0], dtype=np.uint8))
+        assert g.csr_targets.dtype == g.labels.dtype == np.int64
+        assert g.labels.tolist() == [0, 1, 0] and g.num_edges == 2
+
     def test_non_finite_feature_file(self, tmp_path):
         paths = write_files(tmp_path, "0 1\n1 2\n", "1,2\n3,4\nnan,5\n", "0\n0\n1\n")
         with pytest.raises(GraphLoadError, match="row 2 "):

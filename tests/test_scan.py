@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from spal import scan
-from spal.scan import ScanParams, scan_partition, structural_similarity, write_communities_csv
+from spal.scan import (
+    ScanParams,
+    scan_partition,
+    scan_sweep,
+    structural_similarity,
+    write_communities_csv,
+)
 
 from conftest import heavy_tailed_graph, make_graph, random_graph
 from oracles import edge_overlap_reference, scan_brute_force
@@ -112,19 +118,86 @@ class TestEdgeOverlap:
             assert np.array_equal(sim.view(np.int64), np.array(pair_sim).view(np.int64))
 
 
+# the README's sweep grid: epsilon 0.2-0.6 x mu 2-4
+SWEEP_GRID = [ScanParams(eps, mu) for eps in (0.2, 0.3, 0.4, 0.5, 0.6) for mu in (2, 3, 4)]
+
+
 def test_scan_peak_memory():
     g = heavy_tailed_graph()  # ~1.4e5 wedges, so the edge pass takes 3 chunks
-    params = ScanParams(0.3, 2)
-    scan_partition(g, params)  # imports csgraph, whose memory is not SCAN's
-    tracemalloc.start()
-    try:
-        scan_partition(g, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # Measured here: 70 B per CSR entry, as for the per-pair lookups before
-    # the edge pass; checking every wedge in one chunk peaks at 90 B.
-    assert peak < 80 * g.csr_targets.size
+    scan_partition(g, ScanParams(0.3, 2))  # imports csgraph, whose memory is not SCAN's
+    # Measured here: 70 B per CSR entry for one point and for 15, as for the
+    # per-pair lookups before the edge pass; checking every wedge in one
+    # chunk peaks at 90 B.
+    for grid in ([ScanParams(0.3, 2)], SWEEP_GRID):
+        tracemalloc.start()
+        try:
+            for assignment in scan_sweep(g, grid):
+                assignment.sizes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * g.csr_targets.size, len(grid)
+
+
+def brute_force_cases():
+    """(graph, epsilon, mu) draws as in ``test_matches_brute_force``."""
+    rng = np.random.default_rng(13)
+    for _ in range(25):
+        n = int(rng.integers(4, 50))
+        g = random_graph(rng, n, float(rng.uniform(0.1, 0.5)))
+        yield g, float(rng.choice([0.3, 0.5, 0.7, 0.9])), int(rng.choice([1, 2, 3]))
+
+
+class TestScanSweep:
+    GRID = [ScanParams(eps, mu) for eps in (0.0, 0.3, 0.5, 0.7, 0.9, 1.0) for mu in (1, 2, 3, 5)]
+
+    def test_matches_per_point_partitions_and_brute_force(self):
+        for g, _, _ in brute_force_cases():
+            for params, swept in zip(self.GRID, scan_sweep(g, self.GRID), strict=True):
+                single = scan_partition(g, params)
+                assert np.array_equal(swept.community_of, single.community_of)
+                assert as_sets(swept) == scan_brute_force(g, params.epsilon, params.mu)
+
+    def test_matches_per_point_partitions_on_heavy_tailed_graph(self):
+        g = heavy_tailed_graph()
+        for params, swept in zip(SWEEP_GRID, scan_sweep(g, SWEEP_GRID), strict=True):
+            assert np.array_equal(swept.community_of, scan_partition(g, params).community_of)
+
+    def test_edge_pass_runs_once_per_sweep(self, monkeypatch, two_triangles):
+        calls = []
+        real_edge_overlap = scan._edge_overlap
+
+        def counted(g):
+            calls.append(g)
+            return real_edge_overlap(g)
+
+        monkeypatch.setattr(scan, "_edge_overlap", counted)
+        assert len(list(scan_sweep(two_triangles, self.GRID))) == len(self.GRID)
+        assert len(calls) == 1
+        scan_partition(two_triangles, ScanParams(0.5, 2))
+        assert len(calls) == 2
+
+
+class TestDerivedViews:
+    def test_views_match_community_of(self):
+        # the member lists, outliers and counts that scan_partition stored
+        # next to community_of until it became the only field, rebuilt here
+        # one community at a time
+        for g, eps, mu in brute_force_cases():
+            part = scan_partition(g, ScanParams(eps, mu))
+            k = len(scan_brute_force(g, eps, mu)[0])
+            expected = [np.flatnonzero(part.community_of == c) for c in range(k)]
+            assert part.num_communities == k == len(part.communities)
+            for got, want in zip(part.communities, expected):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert np.array_equal(part.sizes, [c.size for c in expected])
+            outliers = np.flatnonzero(part.community_of < 0)
+            assert part.outliers.dtype == np.int64
+            assert np.array_equal(part.outliers, outliers)
+
+    def test_communities_read_once(self, two_triangles):
+        part = scan_partition(two_triangles, ScanParams(0.5, 1))
+        assert part.communities is part.communities
 
 
 class TestScanParams:
@@ -151,7 +224,7 @@ class TestScanPartition:
 
     def test_unsatisfiable_threshold(self, bridged_triangles):
         part = scan_partition(bridged_triangles, ScanParams(1.0, 7))
-        assert part.num_communities == 0
+        assert part.num_communities == part.sizes.size == len(part.communities) == 0
         assert set(part.outliers.tolist()) == set(range(6))
 
     def test_bridged_triangles_split(self, bridged_triangles):
@@ -200,12 +273,7 @@ class TestScanPartition:
             assert total == g.num_nodes
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            n = int(rng.integers(4, 50))
-            g = random_graph(rng, n, float(rng.uniform(0.1, 0.5)))
-            eps = float(rng.choice([0.3, 0.5, 0.7, 0.9]))
-            mu = int(rng.choice([1, 2, 3]))
+        for g, eps, mu in brute_force_cases():
             part = scan_partition(g, ScanParams(eps, mu))
             assert as_sets(part) == scan_brute_force(g, eps, mu)
 

@@ -94,6 +94,31 @@ class TestCheckBudget:
         with pytest.raises(ValueError, match="cannot place 6 medoids among 5 nodes"):
             check_budget("featprop", 6, 5)
 
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_non_integer_budget_rejected(self, name):
+        for bad in (2.5, True, np.float64(2.0), "2"):
+            with pytest.raises(ValueError, match="budget must be an integer"):
+                check_budget(name, bad, 5)
+        check_budget(name, np.int64(3), 5)
+
+    def test_strategies_reject_non_integer_budgets(self, two_triangles):
+        # 2.5 used to fail inside numpy slicing or sampling, and True picked one node
+        calls = [
+            lambda b: spa_select(two_triangles, b=b),
+            lambda b: random_select(two_triangles, b, 0),
+            lambda b: pagerank_select(two_triangles, b=b),
+            lambda b: featprop_select(two_triangles, b=b),
+            lambda b: uncertainty_select(np.full((6, 2), 0.5), [], b),
+        ]
+        for call in calls:
+            for bad in (2.5, True):
+                with pytest.raises(ValueError, match="budget must be an integer"):
+                    call(bad)
+
+    def test_numpy_integer_budget(self, two_triangles):
+        res = pagerank_select(two_triangles, b=np.int64(2))
+        assert len(res.selected) == 2
+
 
 class TestSpaSelect:
     def test_two_triangles_budget_two(self, two_triangles):
