@@ -254,8 +254,7 @@ class NormalizedAdjacency:
 
 def propagate(g: AttributedGraph, M: np.ndarray, steps: int) -> np.ndarray:
     """Repeatedly apply the normalized adjacency: returns A_norm^steps @ M."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    check_int(steps, "steps", 0)
     M = np.asarray(M, dtype=np.float64)
     if M.shape[0] != g.num_nodes:
         raise ValueError(f"matrix has {M.shape[0]} rows, graph has {g.num_nodes} nodes")

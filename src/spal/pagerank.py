@@ -3,12 +3,16 @@ subgraph of a node subset, or batched over many disjoint subsets at once.
 
 All three run one loop: each iteration is one scipy CSR product over the
 blocks still iterating, with scores bit-identical to a per-edge
-``np.bincount`` scatter (see ``_block_power_iterate``)."""
+``np.bincount`` scatter (see ``_power_loop``). ``_power_setup`` allocates
+every array the loop uses before it starts, so ``pagerank_loop`` can hand
+the loop alone to another thread: ``spa_select`` runs the whole-graph loop
+on a worker thread while the block pass runs on its own."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,20 +86,53 @@ def _induced_csr(
     return indptr, pos[g.csr_targets[keep]]
 
 
-def _block_power_iterate(
+def _power_setup(
     g: AttributedGraph, nodes: np.ndarray, block_of: np.ndarray, params: PageRankParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Power iteration on the induced subgraphs of disjoint node blocks.
+) -> tuple:
+    """Everything ``_power_loop`` reads or writes, allocated here: the
+    unit-weight induced CSR M with its data array, and the per-node arrays.
 
     ``nodes`` are sorted unique ids and ``block_of[i]`` (in 0..k-1) is the
-    block of ``nodes[i]``. Each iteration is one product ``M @ (pr / deg)``
-    with M the unit-weight induced adjacency, restricted to the blocks
-    still iterating: a block freezes once its own L1 step drops below the
-    tolerance, so its result does not depend on the other blocks. Frozen
-    blocks are masked until the live share of the working set falls below
-    ``_COMPACT_BELOW``; then M and the per-row arrays are cut down to the
-    live rows. A call with one block holding every node wraps the graph's
-    own CSR arrays.
+    block of ``nodes[i]``. A call with one block holding every node wraps
+    the graph's own CSR arrays. Returns the loop's positional arguments.
+    """
+    total = nodes.size
+    sizes = np.bincount(block_of)
+    if sizes.size == 1 and total == g.num_nodes:
+        indptr, indices = g.csr_offsets, g.csr_targets
+    else:
+        indptr, indices = _induced_csr(g, nodes, block_of)
+    m = _unit_csr(indptr, indices, total)
+    deg = np.diff(indptr).astype(np.float64)
+    safe_deg = np.where(deg == 0.0, 1.0, deg)
+    dangling = np.flatnonzero(deg == 0.0)
+    n_block = sizes.astype(np.float64)
+    # With no dangling member the teleport adds d * 0.0 / n == 0.0 to it, so
+    # the precomputed term gives the same bits. It saved 11% of the block pass
+    # timed at _COMPACT_BELOW (no dangling member there), and 7% of the block
+    # pass and 12% of the whole-graph pass on a 3,327-node SBM.
+    teleport = ((1.0 - params.damping) / n_block)[block_of]
+    rows = np.arange(total, dtype=np.int64)  # working row -> position in nodes
+    pr = (1.0 / n_block)[block_of]
+    contrib, change = np.empty(total), np.empty(total)  # per-iteration scratch
+    scores = np.empty(total)
+    return (m, block_of, n_block, safe_deg, dangling, teleport, pr, rows,
+            contrib, change, scores, params)
+
+
+def _power_loop(
+    m, block_of, n_block, safe_deg, dangling, teleport, pr, rows,
+    contrib, change, scores, params: PageRankParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Power iteration on the induced subgraphs of disjoint node blocks,
+    over the arrays ``_power_setup`` made.
+
+    Each iteration is one product ``M @ (pr / deg)`` with M the unit-weight
+    induced adjacency, restricted to the blocks still iterating: a block
+    freezes once its own L1 step drops below the tolerance, so its result
+    does not depend on the other blocks. Frozen blocks are masked until the
+    live share of the working set falls below ``_COMPACT_BELOW``; then M and
+    the per-row arrays are cut down to the live rows.
 
     The scores are bit-identical to a per-edge ``np.bincount`` scatter:
     scipy's CSR mat-vec sums each row from 0.0 in ascending column order,
@@ -107,29 +144,8 @@ def _block_power_iterate(
     Returns (scores aligned with ``nodes``, per-block iteration counts,
     per-block converged flags).
     """
-    total = nodes.size
-    sizes = np.bincount(block_of)
-    k = sizes.size
-    if k == 1 and total == g.num_nodes:
-        indptr, indices = g.csr_offsets, g.csr_targets
-    else:
-        indptr, indices = _induced_csr(g, nodes, block_of)
-    m = _unit_csr(indptr, indices, total)
-    deg = np.diff(indptr).astype(np.float64)
-    safe_deg = np.where(deg == 0.0, 1.0, deg)
-    dangling = np.flatnonzero(deg == 0.0)
-
     d = params.damping
-    n_block = sizes.astype(np.float64)
-    # With no dangling member the teleport adds d * 0.0 / n == 0.0 to it, so
-    # the precomputed term gives the same bits. It saved 11% of the block pass
-    # timed at _COMPACT_BELOW (no dangling member there), and 7% of the block
-    # pass and 12% of the whole-graph pass on a 3,327-node SBM.
-    teleport = ((1.0 - d) / n_block)[block_of]
-    rows = np.arange(total, dtype=np.int64)  # working row -> position in nodes
-    pr = (1.0 / n_block)[block_of]
-    contrib, change = np.empty(total), np.empty(total)  # per-iteration scratch
-    scores = np.empty(total)
+    k = n_block.size
     active = np.ones(k, dtype=bool)
     frozen = None  # rows of settled blocks still in the working set
     converged = np.zeros(k, dtype=bool)
@@ -190,19 +206,34 @@ def pagerank(
     redistribute their mass uniformly each iteration, so scores always sum
     to 1. Iteration stops when the L1 change drops below the tolerance.
     """
+    return pagerank_loop(g, subset, params)()
+
+
+def pagerank_loop(
+    g: AttributedGraph,
+    subset: np.ndarray | list[int] | None = None,
+    params: PageRankParams | None = None,
+) -> Callable[[], ScoreVector]:
+    """``pagerank`` in two steps: this call checks the subset and allocates
+    every array the iteration uses; the call it returns runs the iteration
+    alone and returns the ``ScoreVector``.
+
+    The returned call may run on another thread. Allocating first keeps
+    the arrays out of that thread's malloc arena, which glibc does not hand
+    back to the system when they are freed.
+    """
     params = params or PageRankParams()
     if subset is None:
         ids = np.arange(g.num_nodes, dtype=np.int64)
     else:
         ids = node_index(subset, g.num_nodes, "subgraph")
-    block_of = np.zeros(ids.size, dtype=np.int64)
-    scores, iterations, converged = _block_power_iterate(g, ids, block_of, params)
-    return ScoreVector(
-        node_ids=ids,
-        scores=scores,
-        iterations_used=int(iterations[0]),
-        converged=bool(converged[0]),
-    )
+    state = _power_setup(g, ids, np.zeros(ids.size, dtype=np.int64), params)
+
+    def run() -> ScoreVector:
+        scores, iterations, converged = _power_loop(*state)
+        return ScoreVector(ids, scores, int(iterations[0]), bool(converged[0]))
+
+    return run
 
 
 def pagerank_blocks(
@@ -239,7 +270,7 @@ def pagerank_blocks(
     pos = np.searchsorted(nodes, members)
     block_of = np.empty(nodes.size, dtype=np.int64)
     block_of[pos] = member_block
-    scores, iterations, converged = _block_power_iterate(g, nodes, block_of, params)
+    scores, iterations, converged = _power_loop(*_power_setup(g, nodes, block_of, params))
     scores = scores[pos]
     ends = np.cumsum(np.bincount(member_block)).tolist()
     return [

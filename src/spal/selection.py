@@ -1,12 +1,18 @@
 """Budgeted node-selection strategies: the structural-clustering PageRank
 method plus the random / PageRank / uncertainty / feature-propagation
 baselines. Each strategy returns an ordered, duplicate-free sample with
-per-node provenance and the wall-clock query time."""
+per-node provenance and the wall-clock query time.
+
+On graphs of ``_OVERLAP_FROM`` CSR entries or more, ``spa_select`` runs the
+whole-graph PageRank loop on one worker thread while the block pass runs
+on the caller's, and joins it before it returns or raises; the picks are
+the same to the bit as with both on one thread."""
 
 from __future__ import annotations
 
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,7 +21,7 @@ import numpy as np
 from .graph import AttributedGraph, check_int, node_index, propagate
 from .kmedoids import kmedoids
 from .output import write_json
-from .pagerank import PageRankParams, ScoreVector, pagerank, pagerank_blocks
+from .pagerank import PageRankParams, ScoreVector, pagerank, pagerank_blocks, pagerank_loop
 from .scan import ScanParams, scan_partition
 
 STRATEGY_NAMES = ("spa", "random", "pagerank", "uncertainty", "featprop")
@@ -113,6 +119,47 @@ def _warn_unconverged(
         )
 
 
+# From this many CSR entries (two per edge) up, spa_select runs the
+# whole-graph PageRank loop on a worker thread while the block pass runs on
+# the caller's; below it, one after the other on the caller's thread. Two
+# threads that both make many small numpy calls hand the GIL back and
+# forth, which costs more than the overlap saves on small graphs.
+# spa_select at b=20, epsilon 0.3, mu 2, medians of 11-25 alternating calls
+# per sweep, ranges over 2-4 sweeps (2 vCPU guest), serial -> overlapped:
+#   sbm:6,3327,0.003,0.0004,1.0,42     9,340   36-37 ->  36-40 ms
+#   DC-SBM 1e4 nodes, 4e4 edges       80,000   79-99 ->  82-108 ms
+#   DC-SBM 2e4                       160,000  152-163 -> 156-175 ms
+#   DC-SBM 3e4                       240,000  223-249 -> 235-279 ms
+#   DC-SBM 4e4                       320,000  358-398 -> 343-404 ms
+#   DC-SBM 5e4                       400,000  447-529 -> 346-558 ms
+#   DC-SBM 1e5 (the benchmark's)     800,000  957-1204 -> 702-784 ms
+# From about 3e5 entries the gain is bimodal: the block and global passes
+# alone (three draws per size) took 0.63-0.72x the serial time at 320k
+# and 360k entries, 0.63-0.98x at 400k, but 0.81-1.05x at 240k and
+# 1.03-1.06x at 160k and below.
+_OVERLAP_FROM = 300_000
+
+
+def _block_and_global_pagerank(
+    g: AttributedGraph, communities: list[np.ndarray], params: PageRankParams, need_global: bool
+) -> tuple[list[ScoreVector], ScoreVector | None]:
+    """``pagerank_blocks`` over the communities, and the whole-graph vector
+    when ``need_global`` (else None). The global loop depends on neither the
+    partition nor the blocks, so on graphs of ``_OVERLAP_FROM`` CSR entries
+    or more it runs on one worker thread, which is joined before this
+    returns or raises. ``pagerank_loop`` allocates its arrays on this
+    thread, so only the loop runs on the worker."""
+    if not need_global:
+        return pagerank_blocks(g, communities, params), None
+    if g.csr_targets.size < _OVERLAP_FROM:
+        return pagerank_blocks(g, communities, params), pagerank(g, params=params)
+    global_loop = pagerank_loop(g, params=params)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="spal-pagerank") as pool:
+        global_sv = pool.submit(global_loop)
+        blocks = pagerank_blocks(g, communities, params)
+    return blocks, global_sv.result()
+
+
 def spa_select(
     g: AttributedGraph,
     scan_params: ScanParams | None = None,
@@ -135,7 +182,9 @@ def spa_select(
     with Stopwatch() as sw:
         b_eff = min(b, g.num_nodes)
         assignment = scan_partition(g, scan_params)
-        blocks = pagerank_blocks(g, assignment.communities, pr_params)
+        # the cut keeps, and the top-up adds, the highest global scores
+        blocks, global_sv = _block_and_global_pagerank(
+            g, assignment.communities, pr_params, assignment.num_communities != b_eff)
         nodes = np.concatenate([np.empty(0, np.int64)] + [sv.node_ids for sv in blocks])
         block_scores = np.concatenate([np.empty(0)] + [sv.scores for sv in blocks])
         # a community's first member in rank order is its representative
@@ -143,8 +192,6 @@ def spa_select(
         _, first = np.unique(assignment.community_of[nodes[ranked]], return_index=True)
         picks, scores = nodes[ranked[first]], block_scores[ranked[first]]
 
-        # the cut keeps, and the top-up adds, the highest global scores
-        global_sv = pagerank(g, params=pr_params) if picks.size != b_eff else None
         if picks.size > b_eff:
             keep = _rank_order(global_sv.scores[picks], picks)[:b_eff]
             picks, scores = picks[keep], scores[keep]
@@ -169,6 +216,7 @@ def spa_select(
 def random_select(g: AttributedGraph, b: int, seed: int) -> SelectionResult:
     """Uniform sample without replacement, reproducible from the seed."""
     check_budget("random", b, g.num_nodes)
+    check_int(seed, "seed", 0)
     with Stopwatch() as sw:
         rng = np.random.default_rng(seed)
         picks = rng.choice(g.num_nodes, size=min(b, g.num_nodes), replace=False)
@@ -223,6 +271,7 @@ def featprop_select(
 ) -> SelectionResult:
     """k-medoids (k = b) over propagated features; medoids are the sample."""
     check_budget("featprop", b, g.num_nodes)
+    check_int(seed, "seed", 0)
     with Stopwatch() as sw:
         Z = propagate(g, g.features, steps)
         chosen = [SelectionRecord(int(v)) for v in kmedoids(Z, b, seed=seed)]

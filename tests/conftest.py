@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,18 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if here in item.path.parents:
             item.add_marker(pytest.mark.filterwarnings("error"))
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fails a test that leaves a thread running. ``spa_select`` starts one,
+    and ``experiment`` later forks its process pool, which copies no thread
+    but whatever locks a running one holds."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left running: {', '.join(left)}")
 
 
 def make_graph(

@@ -149,8 +149,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(small_sbm, [], [5], [0], FAST)
 
-    def test_parallel_matches_serial(self, small_sbm):
-        kwargs = dict(strategies=["random", "pagerank"], budgets=[4, 8], seeds=[0, 1],
+    def test_parallel_matches_serial(self, small_sbm, monkeypatch):
+        # spa's global vector on a worker thread: 7 communities, so both budgets use it
+        monkeypatch.setattr(spal.selection, "_OVERLAP_FROM", 0)
+        kwargs = dict(strategies=["random", "pagerank", "spa"], budgets=[4, 8], seeds=[0, 1],
                       cfg=FAST)
         serial = run_experiment(small_sbm, **kwargs, jobs=1)
         parallel = run_experiment(small_sbm, **kwargs, jobs=2)

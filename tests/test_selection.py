@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import importlib
 import json
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from spal.pagerank import PageRankParams, pagerank
+from spal.pagerank import PageRankParams, pagerank, pagerank_blocks
 from spal.scan import ScanParams, scan_partition
 from spal.selection import (
     STRATEGY_NAMES,
@@ -21,8 +25,10 @@ from spal.selection import (
 
 from spal.synthetic import sbm_graph
 
-from conftest import make_graph, random_graph
+from conftest import heavy_tailed_graph, make_graph, random_graph
 from oracles import spa_select_reference
+
+selection_module = importlib.import_module("spal.selection")
 
 
 def cycle_edges(n, offset=0):
@@ -218,6 +224,164 @@ class TestConvergenceWarning:
             warnings.simplefilter("error")
             spa_select(two_triangles, ScanParams(0.5, 1), b=4)
             pagerank_select(two_triangles, b=2)
+
+
+@pytest.fixture
+def overlap_everywhere(monkeypatch):
+    """Run spa's global PageRank loop on a worker thread at every graph size."""
+    monkeypatch.setattr(selection_module, "_OVERLAP_FROM", 0)
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    """Counts the thread pools spa_select starts."""
+    started = []
+
+    def counting_pool(*args, **kwargs):
+        started.append(kwargs)
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(selection_module, "ThreadPoolExecutor", counting_pool)
+    return started
+
+
+def test_small_graphs_run_inline(pools_started):
+    g = sbm_graph(4, 400, 0.1, 0.01, 1.0, 7)
+    assert g.csr_targets.size < selection_module._OVERLAP_FROM
+    spa_select(g, ScanParams(0.28, 2), b=1)  # a cut, so the global vector is used
+    assert pools_started == []
+
+
+@pytest.mark.usefixtures("overlap_everywhere")
+class TestSpaMatchesReferenceOverlapped(TestSpaMatchesReference):
+    """Every budget class with the global vector computed on a worker thread."""
+
+
+@pytest.mark.usefixtures("overlap_everywhere")
+class TestConvergenceWarningOverlapped(TestConvergenceWarning):
+    """The warnings with the global vector computed on a worker thread."""
+
+    def test_global_vector_reported_only_when_used(self):
+        g = sbm_graph(4, 400, 0.1, 0.01, 1.0, 7)
+        params = ScanParams(0.28, 2)
+        k = scan_partition(g, params).num_communities
+        capped = PageRankParams(max_iterations=1)
+        for b, uses_global in ((k, False), (k - 1, True), (k + 1, True)):
+            with pytest.warns(RuntimeWarning) as rec:
+                spa_select(g, params, capped, b=b)
+            assert len(rec) == 1
+            assert ("the global vector" in str(rec[0].message)) == uses_global, b
+
+
+@pytest.mark.usefixtures("overlap_everywhere")
+class TestOverlappedGlobalPagerank:
+    def test_exact_fit_starts_no_thread(self, pools_started):
+        g, params = SPA_CASES["disjoint-cliques"]
+        spa_select(g, params, b=3)  # three communities: no cut, no top-up
+        assert pools_started == []
+        spa_select(g, params, b=2)
+        spa_select(g, params, b=4)
+        assert len(pools_started) == 2
+
+    def test_scores_bit_identical_to_pagerank(self):
+        g = heavy_tailed_graph()
+        communities = scan_partition(g, ScanParams(0.3, 2)).communities
+        params = PageRankParams()
+        blocks, global_sv = selection_module._block_and_global_pagerank(
+            g, communities, params, need_global=True)
+        want = pagerank(g, params=params)
+        assert np.array_equal(global_sv.scores, want.scores)
+        assert np.array_equal(global_sv.node_ids, want.node_ids)
+        assert (global_sv.iterations_used, global_sv.converged) == (
+            want.iterations_used, want.converged)
+        for got, ref in zip(blocks, pagerank_blocks(g, communities, params), strict=True):
+            assert np.array_equal(got.node_ids, ref.node_ids)
+            assert np.array_equal(got.scores, ref.scores)
+
+    def test_concurrent_calls_under_a_short_switch_interval(self, monkeypatch):
+        # more callers than cores, each with its own worker, switching often
+        g, params = SPA_CASES["sbm-readme"]
+        want = [spa_select(g, params, b=b).selected for b in (5, 60)]
+        monkeypatch.setattr(selection_module, "_OVERLAP_FROM", 1 << 62)
+        assert [spa_select(g, params, b=b).selected for b in (5, 60)] == want
+        monkeypatch.setattr(selection_module, "_OVERLAP_FROM", 0)
+        got = {}
+
+        def call(i):
+            got[i] = [spa_select(g, params, b=b).selected for b in (5, 60)]
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == {i: want for i in range(4)}
+
+    def test_no_thread_outlives_a_return(self, two_triangles):
+        before = threading.enumerate()
+        spa_select(two_triangles, ScanParams(0.5, 1), b=4)
+        assert threading.enumerate() == before
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch, two_triangles):
+        ran_on = []
+
+        def failing_loop(g, subset=None, params=None):
+            def run():
+                ran_on.append(threading.current_thread())
+                raise FloatingPointError("loop failed")
+            return run
+
+        monkeypatch.setattr(selection_module, "pagerank_loop", failing_loop)
+        before = threading.enumerate()
+        with pytest.raises(FloatingPointError, match="loop failed"):
+            spa_select(two_triangles, ScanParams(0.5, 1), b=4)
+        assert ran_on and ran_on[0] is not threading.current_thread()
+        assert threading.enumerate() == before
+
+    def test_block_failure_joins_the_worker(self, monkeypatch, two_triangles):
+        finished = []
+        real_loop = selection_module.pagerank_loop
+
+        def recording_loop(g, subset=None, params=None):
+            run = real_loop(g, subset, params)
+            return lambda: finished.append(run())
+
+        def failing_blocks(g, blocks, params=None):
+            raise FloatingPointError("blocks failed")
+
+        monkeypatch.setattr(selection_module, "pagerank_loop", recording_loop)
+        monkeypatch.setattr(selection_module, "pagerank_blocks", failing_blocks)
+        before = threading.enumerate()
+        with pytest.raises(FloatingPointError, match="blocks failed"):
+            spa_select(two_triangles, ScanParams(0.5, 1), b=4)
+        assert len(finished) == 1  # the worker ran to its end before the raise
+        assert threading.enumerate() == before
+
+
+class TestSeedAndStepsChecks:
+    def test_random_select_rejects_a_bool_seed(self, two_triangles):
+        with pytest.raises(ValueError, match="seed must be an integer, got True"):
+            random_select(two_triangles, 2, True)
+
+    def test_random_select_rejects_a_float_seed(self, two_triangles):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            random_select(two_triangles, 2, 1.5)
+
+    def test_featprop_select_rejects_float_steps(self, two_triangles):
+        with pytest.raises(ValueError, match="steps must be an integer, got 2.5"):
+            featprop_select(two_triangles, 2.5, b=2)
+
+    def test_numpy_integer_seeds_accepted(self, two_triangles):
+        assert random_select(two_triangles, 2, np.int64(7)).selected == random_select(
+            two_triangles, 2, 7).selected
+        assert featprop_select(two_triangles, b=2, seed=np.int64(3)).selected == (
+            featprop_select(two_triangles, b=2, seed=3).selected)
 
 
 class TestRandomSelect:
