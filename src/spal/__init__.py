@@ -7,7 +7,14 @@ from .gcn import GcnModel, TrainConfig, cross_entropy_loss, gcn_forward, predict
 from .graph import AttributedGraph, NormalizedAdjacency, load_graph, propagate
 from .kmedoids import kmedoids
 from .metrics import accuracy, macro_f1
-from .pagerank import PageRankParams, ScoreVector, pagerank, pagerank_blocks
+from .pagerank import (
+    BlockScores,
+    PageRankParams,
+    ScoreVector,
+    pagerank,
+    pagerank_blocks,
+    pagerank_partition,
+)
 from .scan import CommunityAssignment, ScanParams, scan_partition, structural_similarity
 from .selection import (
     SelectionResult,
@@ -23,6 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttributedGraph",
+    "BlockScores",
     "CommunityAssignment",
     "EvalReport",
     "GcnModel",
@@ -41,6 +49,7 @@ __all__ = [
     "macro_f1",
     "pagerank",
     "pagerank_blocks",
+    "pagerank_partition",
     "pagerank_select",
     "predict",
     "propagate",

@@ -1,12 +1,16 @@
 """Damped PageRank by power iteration, on the whole graph, on the induced
-subgraph of a node subset, or batched over many disjoint subsets at once.
+subgraph of a node subset, or batched over every block of a partition.
 
 All three run one loop: each iteration is one scipy CSR product over the
 blocks still iterating, with scores bit-identical to a per-edge
-``np.bincount`` scatter (see ``_power_loop``). ``_power_setup`` allocates
-every array the loop uses before it starts, so ``pagerank_loop`` can hand
-the loop alone to another thread: ``spa_select`` runs the whole-graph loop
-on a worker thread while the block pass runs on its own."""
+``np.bincount`` scatter (see ``_power_loop``). The batched form,
+``pagerank_partition``, takes the partition as flat labels, returns flat
+arrays, and iterates blocks that repeat another's size and local adjacency
+only once (see ``_repeated_blocks``); ``pagerank_blocks`` is its list form.
+``_power_setup`` allocates every array the loop uses before it starts, so
+``pagerank_loop`` can hand the loop alone to another thread: on large
+graphs ``spa_select`` starts the whole-graph loop on a worker thread before
+SCAN and runs SCAN and the block pass beside it."""
 
 from __future__ import annotations
 
@@ -86,22 +90,31 @@ def _induced_csr(
     return indptr, pos[g.csr_targets[keep]]
 
 
+def _keep_rows(
+    indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, new_row) of the rows ``keep`` selects, columns
+    renumbered by ``new_row``; every kept row's columns must be kept rows."""
+    lengths = np.diff(indptr)
+    new_row = np.cumsum(keep) - 1
+    kept_indptr = np.zeros(new_row[-1] + 2, dtype=np.int64)
+    np.cumsum(lengths[keep], out=kept_indptr[1:])
+    return kept_indptr, new_row[indices[np.repeat(keep, lengths)]], new_row
+
+
 def _power_setup(
-    g: AttributedGraph, nodes: np.ndarray, block_of: np.ndarray, params: PageRankParams
+    indptr: np.ndarray, indices: np.ndarray, block_of: np.ndarray, params: PageRankParams
 ) -> tuple:
     """Everything ``_power_loop`` reads or writes, allocated here: the
-    unit-weight induced CSR M with its data array, and the per-node arrays.
+    unit-weight CSR M over ``indptr``/``indices`` with its data array, and
+    the per-node arrays.
 
-    ``nodes`` are sorted unique ids and ``block_of[i]`` (in 0..k-1) is the
-    block of ``nodes[i]``. A call with one block holding every node wraps
-    the graph's own CSR arrays. Returns the loop's positional arguments.
+    Row i of the CSR is the i-th node in ascending id order and
+    ``block_of[i]`` (in 0..k-1) its block; no edge leaves a block. Returns
+    the loop's positional arguments.
     """
-    total = nodes.size
+    total = block_of.size
     sizes = np.bincount(block_of)
-    if sizes.size == 1 and total == g.num_nodes:
-        indptr, indices = g.csr_offsets, g.csr_targets
-    else:
-        indptr, indices = _induced_csr(g, nodes, block_of)
     m = _unit_csr(indptr, indices, total)
     deg = np.diff(indptr).astype(np.float64)
     safe_deg = np.where(deg == 0.0, 1.0, deg)
@@ -180,11 +193,7 @@ def _power_loop(
             continue
         frozen = None
         scores[rows[~live]] = pr[~live]
-        lengths = np.diff(m.indptr)
-        new_row = np.cumsum(live) - 1
-        indptr = np.zeros(new_row[-1] + 2, dtype=np.int64)
-        np.cumsum(lengths[live], out=indptr[1:])
-        indices = new_row[m.indices[np.repeat(live, lengths)]]
+        indptr, indices, new_row = _keep_rows(m.indptr, m.indices, live)
         m = _unit_csr(indptr, indices, indptr.size - 1)
         rows, pr, block_of = rows[live], pr[live], block_of[live]
         safe_deg, teleport = safe_deg[live], teleport[live]
@@ -227,7 +236,12 @@ def pagerank_loop(
         ids = np.arange(g.num_nodes, dtype=np.int64)
     else:
         ids = node_index(subset, g.num_nodes, "subgraph")
-    state = _power_setup(g, ids, np.zeros(ids.size, dtype=np.int64), params)
+    block_of = np.zeros(ids.size, dtype=np.int64)
+    if ids.size == g.num_nodes:
+        csr = g.csr_offsets, g.csr_targets
+    else:
+        csr = _induced_csr(g, ids, block_of)
+    state = _power_setup(*csr, block_of, params)
 
     def run() -> ScoreVector:
         scores, iterations, converged = _power_loop(*state)
@@ -236,20 +250,106 @@ def pagerank_loop(
     return run
 
 
+@dataclass(eq=False)
+class BlockScores:
+    """Induced-subgraph PageRank of every block of a partition, flat.
+
+    ``node_ids`` are the members of every block, ascending, and ``scores``
+    are aligned with them; ``iterations`` and ``converged`` are indexed by
+    block id."""
+
+    node_ids: np.ndarray
+    scores: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
+# Blocks of up to this many members are keyed by their size and the upper
+# triangle of their local adjacency as a bit mask, one exact integer: 8
+# members have 28 node pairs.
+_REPEAT_UP_TO = 8
+
+
+def _repeated_blocks(
+    indptr: np.ndarray, indices: np.ndarray, block_of: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source, copy_from): ``source[b]`` is the block whose iteration
+    block b repeats to the bit, b itself or the lowest-id block of up to
+    ``_REPEAT_UP_TO`` members with the same size and adjacency, and row i
+    takes its score from row ``copy_from[i]``, the one at the same position
+    in ascending id order within block ``source[block_of[i]]``.
+
+    ``_power_loop`` keeps the blocks independent, and a block's arithmetic
+    runs over its members in ascending id order, so its scores, iteration
+    count and converged flag depend only on its size and on which of those
+    positions are adjacent.
+    """
+    k, total = sizes.size, block_of.size
+    order = np.argsort(block_of, kind="stable")  # rows by block, ascending within each
+    starts = np.cumsum(sizes) - sizes
+    local = np.empty(total, dtype=np.int64)
+    local[order] = np.arange(total) - np.repeat(starts, sizes)
+    small = sizes <= _REPEAT_UP_TO
+    rows = np.repeat(np.arange(total), np.diff(indptr))
+    upper = small[block_of[rows]] & (local[rows] < local[indices])
+    p, q = local[rows[upper]], local[indices[upper]]
+    # each pair is one bit, so the float sums are exact below 2**53
+    mask = np.bincount(block_of[rows[upper]], weights=np.ldexp(1.0, q * (q - 1) // 2 + p),
+                       minlength=k).astype(np.int64)
+    pairs = _REPEAT_UP_TO * (_REPEAT_UP_TO - 1) // 2
+    key = np.where(small, (sizes << pairs) | mask, -1 - np.arange(k))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    source = first[inverse]
+    return source, order[starts[source[block_of]] + local]
+
+
+def pagerank_partition(
+    g: AttributedGraph, community_of: np.ndarray, params: PageRankParams | None = None
+) -> BlockScores:
+    """Induced-subgraph PageRank of every block of a partition in one sweep.
+
+    ``community_of[v]`` is the block id of node v, in 0..k-1 with every id
+    used, or -1 for a node in no block. Each block's scores are, to the
+    bit, those of ``pagerank(g, subset=block)``, but the power iterations
+    run batched: each iteration is one CSR product over the blocks that
+    have not settled yet. Blocks that repeat another's size and local
+    adjacency (see ``_repeated_blocks``) are iterated once and copied.
+    """
+    params = params or PageRankParams()
+    labels = np.asarray(community_of)
+    if labels.shape != (g.num_nodes,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"community_of must be {g.num_nodes} integer labels, "
+                         f"got shape {labels.shape} and dtype {labels.dtype}")
+    nodes = np.flatnonzero(labels >= 0)
+    block_of = labels[nodes].astype(np.int64)
+    sizes = np.bincount(block_of)
+    if labels.min(initial=0) < -1 or not sizes.all():
+        raise ValueError("community ids must be -1 or 0..k-1 with every id in use")
+    if not nodes.size:
+        return BlockScores(nodes, np.empty(0), np.empty(0, np.int64), np.empty(0, bool))
+    indptr, indices = _induced_csr(g, nodes, block_of)
+    source, copy_from = _repeated_blocks(indptr, indices, block_of, sizes)
+    iterated = source == np.arange(sizes.size)
+    keep = iterated[block_of]
+    if not keep.all():
+        indptr, indices, _ = _keep_rows(indptr, indices, keep)
+    block_id = np.cumsum(iterated) - 1
+    scores = np.empty(nodes.size)
+    scores[keep], iterations, converged = _power_loop(
+        *_power_setup(indptr, indices, block_id[block_of[keep]], params))
+    return BlockScores(nodes, scores[copy_from], iterations[block_id[source]],
+                       converged[block_id[source]])
+
+
 def pagerank_blocks(
     g: AttributedGraph,
     blocks: list[np.ndarray],
     params: PageRankParams | None = None,
 ) -> list[ScoreVector]:
-    """Induced-subgraph PageRank for many disjoint node sets in one sweep.
-
-    Equivalent, to the bit, to calling ``pagerank(g, subset=block)`` per
-    block, but the power iterations run batched, which is far cheaper when
-    there are many small blocks: each iteration is one CSR product over the
-    blocks that have not settled yet. A block's ids may come in any order
-    and repeat; one lexsort over all blocks orders them and drops repeats.
-    Returns one ``ScoreVector`` per block, in the order given.
-    """
+    """``pagerank_partition`` over a list of disjoint node sets, one
+    ``ScoreVector`` per block in the order given: equivalent, to the bit, to
+    calling ``pagerank(g, subset=block)`` per block. A block's ids may come
+    in any order and repeat."""
     params = params or PageRankParams()
     if not blocks:
         return []
@@ -258,22 +358,17 @@ def pagerank_blocks(
         raise ValueError("blocks must be non-empty")
     # ids are checked once over all blocks: a partition can hold 1e4+ of them
     members = np.concatenate(blocks)
-    nodes = node_index(members, g.num_nodes, "block")
+    node_index(members, g.num_nodes, "block")
     member_block = np.repeat(np.arange(len(blocks), dtype=np.int64), sizes)
-    order = np.lexsort((members, member_block))  # by block, then id
-    members, member_block = members[order].astype(np.int64), member_block[order]
-    first = np.ones(members.size, dtype=bool)  # drops an id repeated in its block
-    first[1:] = (members[1:] != members[:-1]) | (member_block[1:] != member_block[:-1])
-    members, member_block = members[first], member_block[first]
-    if members.size != nodes.size:
+    label = np.full(g.num_nodes, -1, dtype=np.int64)
+    label[members] = member_block
+    if not np.array_equal(label[members], member_block):
         raise ValueError("blocks must be disjoint")
-    pos = np.searchsorted(nodes, members)
-    block_of = np.empty(nodes.size, dtype=np.int64)
-    block_of[pos] = member_block
-    scores, iterations, converged = _power_loop(*_power_setup(g, nodes, block_of, params))
-    scores = scores[pos]
-    ends = np.cumsum(np.bincount(member_block)).tolist()
+    flat = pagerank_partition(g, label, params)
+    by_block = np.argsort(label[flat.node_ids], kind="stable")
+    nodes, scores = flat.node_ids[by_block], flat.scores[by_block]
+    ends = np.cumsum(np.bincount(label[nodes])).tolist()
     return [
-        ScoreVector(members[a:z], scores[a:z], int(it), bool(c))
-        for a, z, it, c in zip([0] + ends, ends, iterations, converged)
+        ScoreVector(nodes[a:z], scores[a:z], int(it), bool(c))
+        for a, z, it, c in zip([0] + ends, ends, flat.iterations, flat.converged)
     ]

@@ -3,10 +3,11 @@ method plus the random / PageRank / uncertainty / feature-propagation
 baselines. Each strategy returns an ordered, duplicate-free sample with
 per-node provenance and the wall-clock query time.
 
-On graphs of ``_OVERLAP_FROM`` CSR entries or more, ``spa_select`` runs the
-whole-graph PageRank loop on one worker thread while the block pass runs
-on the caller's, and joins it before it returns or raises; the picks are
-the same to the bit as with both on one thread."""
+On graphs of ``_OVERLAP_FROM`` CSR entries or more, ``spa_select`` starts
+the whole-graph PageRank loop on one worker thread before SCAN, runs SCAN
+and the block pass on the caller's thread beside it, and joins the worker
+before it returns or raises. An exact fit (as many communities as the
+budget) drops the global vector, which costs CPU time but no wall time. The picks are the same to the bit as with everything on one thread."""
 
 from __future__ import annotations
 
@@ -21,8 +22,20 @@ import numpy as np
 from .graph import AttributedGraph, check_int, node_index, propagate
 from .kmedoids import kmedoids
 from .output import write_json
-from .pagerank import PageRankParams, ScoreVector, pagerank, pagerank_blocks, pagerank_loop
-from .scan import ScanParams, scan_partition
+from .pagerank import (  # noqa: F401 (pagerank_blocks: see below)
+    BlockScores,
+    PageRankParams,
+    ScoreVector,
+    pagerank,
+    pagerank_blocks,
+    pagerank_loop,
+    pagerank_partition,
+)
+from .scan import CommunityAssignment, ScanParams, scan_partition
+
+# spa_select calls pagerank_partition. ``pagerank_blocks`` stays importable
+# from here because the benchmark's tracer wraps ``spal.selection.pagerank_blocks``
+# by name and fails to install when it is gone (tests/test_benchmark_names.py).
 
 STRATEGY_NAMES = ("spa", "random", "pagerank", "uncertainty", "featprop")
 
@@ -104,11 +117,12 @@ class SelectionResult:
 
 
 def _warn_unconverged(
-    params: PageRankParams, blocks: list[ScoreVector], global_sv: ScoreVector | None
+    params: PageRankParams, block_converged: np.ndarray, global_sv: ScoreVector | None
 ) -> None:
-    """One RuntimeWarning when any score vector stopped at the iteration cap."""
-    capped = sum(not sv.converged for sv in blocks)
-    parts = [f"{capped} of {len(blocks)} community blocks"] if capped else []
+    """One RuntimeWarning when any block or the global vector stopped at the
+    iteration cap; ``block_converged`` holds one flag per block."""
+    capped = int(np.count_nonzero(~block_converged))
+    parts = [f"{capped} of {block_converged.size} community blocks"] if capped else []
     if global_sv is not None and not global_sv.converged:
         parts.append("the global vector")
     if parts:
@@ -120,44 +134,53 @@ def _warn_unconverged(
 
 
 # From this many CSR entries (two per edge) up, spa_select runs the
-# whole-graph PageRank loop on a worker thread while the block pass runs on
-# the caller's; below it, one after the other on the caller's thread. Two
-# threads that both make many small numpy calls hand the GIL back and
-# forth, which costs more than the overlap saves on small graphs.
-# spa_select at b=20, epsilon 0.3, mu 2, medians of 11-25 alternating calls
-# per sweep, ranges over 2-4 sweeps (2 vCPU guest), serial -> overlapped:
-#   sbm:6,3327,0.003,0.0004,1.0,42     9,340   36-37 ->  36-40 ms
-#   DC-SBM 1e4 nodes, 4e4 edges       80,000   79-99 ->  82-108 ms
-#   DC-SBM 2e4                       160,000  152-163 -> 156-175 ms
-#   DC-SBM 3e4                       240,000  223-249 -> 235-279 ms
-#   DC-SBM 4e4                       320,000  358-398 -> 343-404 ms
-#   DC-SBM 5e4                       400,000  447-529 -> 346-558 ms
-#   DC-SBM 1e5 (the benchmark's)     800,000  957-1204 -> 702-784 ms
-# From about 3e5 entries the gain is bimodal: the block and global passes
-# alone (three draws per size) took 0.63-0.72x the serial time at 320k
-# and 360k entries, 0.63-0.98x at 400k, but 0.81-1.05x at 240k and
-# 1.03-1.06x at 160k and below.
-_OVERLAP_FROM = 300_000
+# whole-graph PageRank loop on a worker thread from before SCAN; below it,
+# SCAN, the block pass and the global loop run one after the other on the
+# caller's thread. Two threads that both make many small numpy calls hand
+# the GIL back and forth, which costs more than the overlap saves on small
+# graphs. spa_select at b=20, epsilon 0.3, mu 2 on DC-SBM draws with 4
+# edges per node (the benchmark's shape), medians of 21-41 alternating
+# calls, one figure per sweep (2 vCPU guest), serial -> overlapped, ms:
+#    80,000 entries   81 -> 86, 86 -> 75, 79 -> 82
+#   120,000          100 -> 97, 93 -> 61, 117 -> 122
+#   160,000          132 -> 141, 144 -> 97, 114 -> 76, 140 -> 147
+#   200,000          225 -> 156, 205 -> 138, 246 -> 153
+#   240,000          202 -> 131, 172 -> 111, 168 -> 105
+#   280,000          247 -> 166, 331 -> 213
+#   320,000          232 -> 143, 311 -> 196
+#   400,000          377 -> 235
+#   800,000          758 -> 482 (the benchmark's graph)
+# Up to 160,000 entries the gain is bimodal; from 200,000 every sweep
+# gained 30-38%.
+_OVERLAP_FROM = 200_000
 
 
-def _block_and_global_pagerank(
-    g: AttributedGraph, communities: list[np.ndarray], params: PageRankParams, need_global: bool
-) -> tuple[list[ScoreVector], ScoreVector | None]:
-    """``pagerank_blocks`` over the communities, and the whole-graph vector
-    when ``need_global`` (else None). The global loop depends on neither the
-    partition nor the blocks, so on graphs of ``_OVERLAP_FROM`` CSR entries
-    or more it runs on one worker thread, which is joined before this
-    returns or raises. ``pagerank_loop`` allocates its arrays on this
-    thread, so only the loop runs on the worker."""
-    if not need_global:
-        return pagerank_blocks(g, communities, params), None
+def _partition_and_pagerank(
+    g: AttributedGraph, scan_params: ScanParams, pr_params: PageRankParams, b_eff: int
+) -> tuple[CommunityAssignment, BlockScores, ScoreVector | None]:
+    """SCAN's partition, the block PageRank over it, and the whole-graph
+    vector unless the community count equals ``b_eff`` (an exact fit, which
+    needs no cut and no top-up; then None).
+
+    The global vector depends on neither the partition nor the blocks, so
+    on graphs of ``_OVERLAP_FROM`` CSR entries or more its loop runs on one
+    worker thread from before SCAN starts, and an exact fit drops its
+    result. The worker is joined before this returns or raises.
+    ``pagerank_loop`` allocates its arrays on this thread, so only the loop
+    runs on the worker."""
     if g.csr_targets.size < _OVERLAP_FROM:
-        return pagerank_blocks(g, communities, params), pagerank(g, params=params)
-    global_loop = pagerank_loop(g, params=params)
+        assignment = scan_partition(g, scan_params)
+        blocks = pagerank_partition(g, assignment.community_of, pr_params)
+        exact_fit = assignment.num_communities == b_eff
+        return assignment, blocks, None if exact_fit else pagerank(g, params=pr_params)
+    global_loop = pagerank_loop(g, params=pr_params)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="spal-pagerank") as pool:
-        global_sv = pool.submit(global_loop)
-        blocks = pagerank_blocks(g, communities, params)
-    return blocks, global_sv.result()
+        future = pool.submit(global_loop)
+        assignment = scan_partition(g, scan_params)
+        blocks = pagerank_partition(g, assignment.community_of, pr_params)
+    global_sv = future.result()  # read on an exact fit too, so a worker failure surfaces
+    exact_fit = assignment.num_communities == b_eff
+    return assignment, blocks, None if exact_fit else global_sv
 
 
 def spa_select(
@@ -181,12 +204,9 @@ def spa_select(
     pr_params = pr_params or PageRankParams()
     with Stopwatch() as sw:
         b_eff = min(b, g.num_nodes)
-        assignment = scan_partition(g, scan_params)
         # the cut keeps, and the top-up adds, the highest global scores
-        blocks, global_sv = _block_and_global_pagerank(
-            g, assignment.communities, pr_params, assignment.num_communities != b_eff)
-        nodes = np.concatenate([np.empty(0, np.int64)] + [sv.node_ids for sv in blocks])
-        block_scores = np.concatenate([np.empty(0)] + [sv.scores for sv in blocks])
+        assignment, blocks, global_sv = _partition_and_pagerank(g, scan_params, pr_params, b_eff)
+        nodes, block_scores = blocks.node_ids, blocks.scores
         # a community's first member in rank order is its representative
         ranked = _rank_order(block_scores, nodes)
         _, first = np.unique(assignment.community_of[nodes[ranked]], return_index=True)
@@ -204,7 +224,7 @@ def spa_select(
             scores = np.concatenate([scores, global_sv.scores[top_up]])
             communities = np.concatenate([communities, np.full(top_up.size, -1)])
 
-        _warn_unconverged(pr_params, blocks, global_sv)
+        _warn_unconverged(pr_params, blocks.converged, global_sv)
         final = _rank_order(scores, picks)
         chosen = [
             SelectionRecord(int(v), int(c), float(s))
@@ -232,7 +252,7 @@ def pagerank_select(
     pr_params = pr_params or PageRankParams()
     with Stopwatch() as sw:
         sv = pagerank(g, params=pr_params)
-        _warn_unconverged(pr_params, [], sv)
+        _warn_unconverged(pr_params, np.empty(0, dtype=bool), sv)
         order = _rank_order(sv.scores, sv.node_ids)[: min(b, g.num_nodes)]
         chosen = [
             SelectionRecord(int(sv.node_ids[i]), score=float(sv.scores[i])) for i in order

@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist
 
 from spal.gcn import TrainConfig, TrainingDivergedError, _adam_step, _softmax, init_model
 from spal.graph import GraphLoadError, NormalizedAdjacency
-from spal.pagerank import PageRankParams, pagerank, pagerank_blocks
+from spal.pagerank import PageRankParams, pagerank
 from spal.scan import ScanParams, scan_partition
 from spal.selection import SelectionRecord, SelectionResult
 
@@ -217,12 +217,15 @@ def spa_select_reference(g, scan_params=None, pr_params=None, b: int = 1) -> Sel
     pr_params = pr_params or PageRankParams()
     b_eff = min(b, g.num_nodes)
     assignment = scan_partition(g, scan_params)
-    blocks = pagerank_blocks(g, assignment.communities, pr_params)
+    communities = assignment.communities
     reps: list[SelectionRecord] = []
-    for cid, sv in enumerate(blocks):
-        top = int(sv.node_ids[np.flatnonzero(sv.scores == sv.scores.max())[0]])
-        score = float(sv.scores[np.searchsorted(sv.node_ids, top)])
-        reps.append(SelectionRecord(top, cid, score))
+    if communities:  # block scores from the bincount loop, which iterates every block
+        block_scores, _, _ = block_power_reference(g, communities, pr_params)
+        ends = np.cumsum([len(c) for c in communities])
+        for cid, (ids, scores) in enumerate(
+                zip(communities, np.split(block_scores, ends[:-1]))):
+            top = int(ids[np.flatnonzero(scores == scores.max())[0]])
+            reps.append(SelectionRecord(top, cid, float(scores[np.searchsorted(ids, top)])))
 
     global_sv = None
     if len(reps) > b_eff:

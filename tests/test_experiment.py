@@ -72,7 +72,7 @@ def test_dispatch_goes_through_module_attributes(small_sbm, monkeypatch):
     for name in ["spa_select", "random_select", "pagerank_select", "uncertainty_select",
                  "featprop_select"]:
         count(spal.experiment, name)
-    for name in ["scan_partition", "pagerank_blocks", "pagerank", "propagate", "kmedoids"]:
+    for name in ["scan_partition", "pagerank_partition", "pagerank", "propagate", "kmedoids"]:
         count(spal.selection, name)
 
     budgets, seeds = [2, 3], [0, 1]
@@ -81,7 +81,7 @@ def test_dispatch_goes_through_module_attributes(small_sbm, monkeypatch):
     assert len(runs) == len(strategies) * per_strategy
     for name in strategies:
         assert calls[f"{name}_select"] == per_strategy, name
-    assert calls["scan_partition"] == calls["pagerank_blocks"] == per_strategy
+    assert calls["scan_partition"] == calls["pagerank_partition"] == per_strategy
     assert calls["propagate"] == calls["kmedoids"] == per_strategy
     assert calls["pagerank"] >= per_strategy  # spa adds global calls to pagerank's own
 

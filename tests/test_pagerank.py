@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spal
-from spal.pagerank import PageRankParams, pagerank, pagerank_blocks
+from spal.pagerank import PageRankParams, pagerank, pagerank_blocks, pagerank_partition
 
 from conftest import heavy_tailed_graph, make_graph, random_graph
 from oracles import block_power_reference, pagerank_dense_solve
@@ -241,6 +241,137 @@ class TestMatchesLockstepReference:
             assert np.array_equal(sv.scores, scores)
             assert sv.iterations_used == iterations[0]
             assert sv.converged == converged[0]
+
+
+def components(shapes):
+    """Edges of the shapes laid side by side, and each one's node ids."""
+    edges, blocks, offset = [], [], 0
+    for shape in shapes:
+        size = max(max(e) for e in shape) + 1
+        edges += [(offset + a, offset + b) for a, b in shape]
+        blocks.append(np.arange(offset, offset + size))
+        offset += size
+    return edges, blocks
+
+
+def repeated_shapes_graph(rng):
+    """Disjoint components in shapes that repeat: paths, stars, triangles,
+    8-cycles, 8-cliques and 9-cycles, under shuffled ids so that one shape
+    comes with different local adjacencies, plus three isolated nodes.
+    Returns the graph and its blocks: each component, except that two paths
+    are split into their ends (two dangling members) and their middle, and
+    three triangles each take an isolated node as a dangling member."""
+    edges, blocks = components(
+        [[(0, 1), (1, 2)]] * 6 + [star_edges(3)] * 5 + [[(0, 1), (1, 2), (0, 2)]] * 6
+        + [cycle_edges(8)] * 4 + [clique_edges(8)] * 3 + [cycle_edges(9)] * 4 + [[(0, 1)]] * 3)
+    n = int(blocks[-1][-1]) + 4
+    for p in (0, 1):
+        blocks.append(blocks[p][1:2])
+        blocks[p] = blocks[p][[0, 2]]
+    for t, isolated in zip((11, 12, 13), range(n - 3, n)):
+        blocks[t] = np.append(blocks[t], isolated)
+    perm = rng.permutation(n)
+    g = make_graph([(perm[a], perm[b]) for a, b in edges], num_nodes=n)
+    return g, [np.sort(perm[b]) for b in blocks]
+
+
+def labels_of(g, blocks):
+    """``community_of`` for disjoint blocks, -1 outside them."""
+    community_of = np.full(g.num_nodes, -1, dtype=np.int64)
+    for b, block in enumerate(blocks):
+        community_of[block] = b
+    return community_of
+
+
+def star_edges(leaves):
+    return [(0, i) for i in range(1, leaves + 1)]
+
+
+def cycle_edges(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def clique_edges(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+class TestRepeatedBlocks:
+    """Blocks that repeat another's size and local adjacency are iterated
+    once and copied; every block still matches the lockstep reference and
+    its own ``pagerank(subset=…)`` to the bit."""
+
+    PARAMS = [PageRankParams(), PageRankParams(0.85, 1e-12, 7), PageRankParams(max_iterations=2)]
+
+    @pytest.fixture
+    def iterated_blocks(self, monkeypatch):
+        """The block count of every ``_power_loop`` call."""
+        counts = []
+        loop = pagerank_module._power_loop
+
+        def counting_loop(*state):
+            counts.append(state[2].size)  # n_block
+            return loop(*state)
+
+        monkeypatch.setattr(pagerank_module, "_power_loop", counting_loop)
+        return counts
+
+    @pytest.mark.parametrize("params", PARAMS)
+    @pytest.mark.parametrize("seed", [50, 51, 52])
+    def test_matches_references(self, seed, params, iterated_blocks):
+        g, blocks = repeated_shapes_graph(np.random.default_rng(seed))
+        iterations, converged = assert_matches_reference(g, blocks, params)
+        community_of = labels_of(g, blocks)
+        flat = pagerank_partition(g, community_of, params)
+        assert iterated_blocks[0] == iterated_blocks[1] < len(blocks)  # repeats were copied
+        scores, _, _ = block_power_reference(g, blocks, params)
+        by_block = np.argsort(community_of[flat.node_ids], kind="stable")
+        assert np.array_equal(flat.node_ids, np.flatnonzero(community_of >= 0))
+        assert np.array_equal(flat.node_ids[by_block], np.concatenate(blocks))
+        assert np.array_equal(flat.scores[by_block], scores)
+        assert np.array_equal(flat.iterations, iterations)
+        assert np.array_equal(flat.converged, converged)
+        for block, it, c, sv in zip(blocks, iterations, converged,
+                                    pagerank_blocks(g, blocks, params), strict=True):
+            single = pagerank(g, subset=block, params=params)
+            assert np.array_equal(sv.scores, single.scores)
+            assert (it, c) == (single.iterations_used, single.converged)
+
+    def test_capped_blocks_copy_their_flags(self):
+        g, blocks = repeated_shapes_graph(np.random.default_rng(53))
+        params = PageRankParams(0.85, 1e-12, 7)
+        iterations, converged = assert_matches_reference(g, blocks, params)
+        assert converged.any() and not converged.all()
+        assert (iterations[~converged] == 7).all() and (iterations[converged] < 7).all()
+
+    def test_only_blocks_up_to_eight_members_are_merged(self, iterated_blocks):
+        # four each of 8-cycles, 8-cliques and 9-cycles
+        edges, blocks = components([cycle_edges(8)] * 4 + [clique_edges(8)] * 4
+                                   + [cycle_edges(9)] * 4)
+        g = make_graph(edges)
+        assert_matches_reference(g, blocks, PageRankParams())
+        assert iterated_blocks == [1 + 1 + 4]  # one 8-cycle, one 8-clique, each 9-cycle
+        perm = np.random.default_rng(55).permutation(g.num_nodes)
+        g = make_graph([(perm[a], perm[b]) for a, b in edges])
+        assert_matches_reference(g, [np.sort(perm[b]) for b in blocks], PageRankParams())
+
+    def test_one_member_blocks(self, iterated_blocks):
+        g = cycle_graph(6)
+        assert_matches_reference(g, [[4], [0], [2]], PageRankParams())
+        assert iterated_blocks == [1]
+
+    @pytest.mark.parametrize("community_of, match", [
+        (np.zeros(5, dtype=np.int64), "community_of must be 6 integer labels"),
+        (np.zeros(6), "community_of must be 6 integer labels"),
+        (np.array([0, 0, 2, 2, -1, -1]), "every id in use"),
+        (np.array([0, 0, 1, 1, -2, -1]), "must be -1 or"),
+    ])
+    def test_partition_validation(self, community_of, match):
+        with pytest.raises(ValueError, match=match):
+            pagerank_partition(cycle_graph(6), community_of)
+
+    def test_partition_with_no_block(self):
+        flat = pagerank_partition(cycle_graph(6), np.full(6, -1))
+        assert flat.node_ids.size == flat.scores.size == flat.iterations.size == 0
 
 
 def test_whole_graph_peak_memory():

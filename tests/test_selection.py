@@ -4,13 +4,14 @@ import importlib
 import json
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from spal.pagerank import PageRankParams, pagerank, pagerank_blocks
+from spal.pagerank import PageRankParams, pagerank, pagerank_blocks, pagerank_partition
 from spal.scan import ScanParams, scan_partition
 from spal.selection import (
     STRATEGY_NAMES,
@@ -275,28 +276,45 @@ class TestConvergenceWarningOverlapped(TestConvergenceWarning):
 
 @pytest.mark.usefixtures("overlap_everywhere")
 class TestOverlappedGlobalPagerank:
-    def test_exact_fit_starts_no_thread(self, pools_started):
+    def test_one_pool_per_call_in_every_budget_class(self, pools_started, monkeypatch):
+        # the global loop starts before SCAN, so an exact fit starts it too
         g, params = SPA_CASES["disjoint-cliques"]
-        spa_select(g, params, b=3)  # three communities: no cut, no top-up
-        assert pools_started == []
-        spa_select(g, params, b=2)
-        spa_select(g, params, b=4)
-        assert len(pools_started) == 2
+        for b in (3, 2, 4):  # three communities: exact fit, cut, top-up
+            got = spa_select(g, params, b=b).to_dict()
+            want = spa_select_reference(g, params, b=b).to_dict()
+            for d in (got, want):
+                d.pop("query_time_ms")
+            assert got == want, b
+        assert len(pools_started) == 3
+        monkeypatch.setattr(selection_module, "_OVERLAP_FROM", g.csr_targets.size + 1)
+        for b in (3, 2, 4):
+            spa_select(g, params, b=b)
+        assert len(pools_started) == 3  # none below the threshold
 
     def test_scores_bit_identical_to_pagerank(self):
         g = heavy_tailed_graph()
-        communities = scan_partition(g, ScanParams(0.3, 2)).communities
-        params = PageRankParams()
-        blocks, global_sv = selection_module._block_and_global_pagerank(
-            g, communities, params, need_global=True)
+        scan_params, params = ScanParams(0.3, 2), PageRankParams()
+        assignment, blocks, global_sv = selection_module._partition_and_pagerank(
+            g, scan_params, params, b_eff=1)
+        assert np.array_equal(assignment.community_of,
+                              scan_partition(g, scan_params).community_of)
         want = pagerank(g, params=params)
         assert np.array_equal(global_sv.scores, want.scores)
         assert np.array_equal(global_sv.node_ids, want.node_ids)
         assert (global_sv.iterations_used, global_sv.converged) == (
             want.iterations_used, want.converged)
-        for got, ref in zip(blocks, pagerank_blocks(g, communities, params), strict=True):
-            assert np.array_equal(got.node_ids, ref.node_ids)
-            assert np.array_equal(got.scores, ref.scores)
+        ref = pagerank_partition(g, assignment.community_of, params)
+        for name in ("node_ids", "scores", "iterations", "converged"):
+            assert np.array_equal(getattr(blocks, name), getattr(ref, name)), name
+        # and per block, against the list form
+        by_block = np.argsort(assignment.community_of[blocks.node_ids], kind="stable")
+        ends = np.cumsum(assignment.sizes)
+        for got_ids, got_scores, sv in zip(
+                np.split(blocks.node_ids[by_block], ends[:-1]),
+                np.split(blocks.scores[by_block], ends[:-1]),
+                pagerank_blocks(g, assignment.communities, params), strict=True):
+            assert np.array_equal(got_ids, sv.node_ids)
+            assert np.array_equal(got_scores, sv.scores)
 
     def test_concurrent_calls_under_a_short_switch_interval(self, monkeypatch):
         # more callers than cores, each with its own worker, switching often
@@ -339,12 +357,16 @@ class TestOverlappedGlobalPagerank:
 
         monkeypatch.setattr(selection_module, "pagerank_loop", failing_loop)
         before = threading.enumerate()
-        with pytest.raises(FloatingPointError, match="loop failed"):
-            spa_select(two_triangles, ScanParams(0.5, 1), b=4)
-        assert ran_on and ran_on[0] is not threading.current_thread()
+        for b in (4, 2):  # two communities: top-up, and an exact fit that drops the vector
+            with pytest.raises(FloatingPointError, match="loop failed"):
+                spa_select(two_triangles, ScanParams(0.5, 1), b=b)
+        assert len(ran_on) == 2 and threading.current_thread() not in ran_on
         assert threading.enumerate() == before
 
-    def test_block_failure_joins_the_worker(self, monkeypatch, two_triangles):
+    @staticmethod
+    def assert_failure_joins_the_worker(monkeypatch, g, stage):
+        """A failure in ``stage`` on the caller's thread reaches the caller
+        after the worker ran to its end, in the exact-fit and top-up cases."""
         finished = []
         real_loop = selection_module.pagerank_loop
 
@@ -352,16 +374,42 @@ class TestOverlappedGlobalPagerank:
             run = real_loop(g, subset, params)
             return lambda: finished.append(run())
 
-        def failing_blocks(g, blocks, params=None):
-            raise FloatingPointError("blocks failed")
+        def failing_stage(*args, **kwargs):
+            raise FloatingPointError(f"{stage} failed")
 
         monkeypatch.setattr(selection_module, "pagerank_loop", recording_loop)
-        monkeypatch.setattr(selection_module, "pagerank_blocks", failing_blocks)
+        monkeypatch.setattr(selection_module, stage, failing_stage)
         before = threading.enumerate()
-        with pytest.raises(FloatingPointError, match="blocks failed"):
-            spa_select(two_triangles, ScanParams(0.5, 1), b=4)
-        assert len(finished) == 1  # the worker ran to its end before the raise
+        for b in (2, 4):  # two communities: exact fit, top-up
+            with pytest.raises(FloatingPointError, match=f"{stage} failed"):
+                spa_select(g, ScanParams(0.5, 1), b=b)
+        assert len(finished) == 2  # each worker ran to its end before the raise
         assert threading.enumerate() == before
+
+    def test_block_failure_joins_the_worker(self, monkeypatch, two_triangles):
+        self.assert_failure_joins_the_worker(monkeypatch, two_triangles, "pagerank_partition")
+
+    def test_scan_failure_joins_the_worker(self, monkeypatch, two_triangles):
+        self.assert_failure_joins_the_worker(monkeypatch, two_triangles, "scan_partition")
+
+
+@pytest.mark.usefixtures("overlap_everywhere")
+def test_overlapped_spa_peak_memory():
+    g = heavy_tailed_graph()
+    n, entries = g.num_nodes, g.csr_targets.size
+    spa_select(g, ScanParams(0.3, 2), b=100)  # imports csgraph, whose memory is not spa's
+    tracemalloc.start()
+    try:
+        spa_select(g, ScanParams(0.3, 2), b=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The global loop's arrays stay alive through SCAN, so the peak is
+    # SCAN's (70 B per CSR entry) plus the whole-graph loop's: measured here
+    # at 89 B per entry, against 70 B with the loop started after SCAN.
+    # The bound adds the two tests' bounds: SCAN's 80 B per entry, and
+    # unit weights plus 16 score vectors.
+    assert peak < 80 * entries + 8 * entries + 16 * 8 * n
 
 
 class TestSeedAndStepsChecks:
