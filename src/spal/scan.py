@@ -186,13 +186,19 @@ def scan_sweep(g: AttributedGraph, grid: Iterable[ScanParams]) -> Iterator[Commu
     for params in grid:
         keep = (sim >= params.epsilon) & (common >= params.mu)
         qi, qj = i[keep], j[keep]
-        members = np.unique(np.concatenate([qi, qj]))
+        is_member = np.zeros(n, dtype=bool)
+        is_member[qi] = is_member[qj] = True
+        members = np.flatnonzero(is_member)
         qualifying = sp.coo_matrix((np.ones(qi.size), (qi, qj)), shape=(n, n))
-        _, component = connected_components(qualifying, directed=False)
-        # members ascend, so a component's first occurrence is its smallest member
-        _, first, inverse = np.unique(component[members], return_index=True, return_inverse=True)
+        num_components, component = connected_components(qualifying, directed=False)
+        # communities are numbered in ascending order of their smallest members
+        component = component[members]
+        smallest = np.full(num_components, n, dtype=np.int64)
+        np.minimum.at(smallest, component, members)
+        is_smallest = np.zeros(n, dtype=bool)
+        is_smallest[smallest[smallest < n]] = True
         community_of = np.full(n, -1, dtype=np.int64)
-        community_of[members] = np.argsort(np.argsort(first))[inverse]
+        community_of[members] = (np.cumsum(is_smallest) - 1)[smallest[component]]
         yield CommunityAssignment(community_of)
 
 

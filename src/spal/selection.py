@@ -209,7 +209,8 @@ def spa_select(
         nodes, block_scores = blocks.node_ids, blocks.scores
         # a community's first member in rank order is its representative
         ranked = _rank_order(block_scores, nodes)
-        _, first = np.unique(assignment.community_of[nodes[ranked]], return_index=True)
+        first = np.full(assignment.num_communities, ranked.size, dtype=np.int64)
+        np.minimum.at(first, assignment.community_of[nodes[ranked]], np.arange(ranked.size))
         picks, scores = nodes[ranked[first]], block_scores[ranked[first]]
 
         if picks.size > b_eff:

@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from spal.graph import GraphLoadError, NormalizedAdjacency, from_edges, load_graph, propagate
+from spal.graph import (
+    GraphLoadError, NormalizedAdjacency, from_edges, load_graph, propagate, sorted_unique,
+)
 
 from conftest import make_graph, random_graph
 from oracles import csr_reference, dense_normalized_adjacency, parse_edge_file_reference
@@ -326,3 +328,33 @@ class TestReceptiveBlock:
             Z = np.zeros((n, 4))
             Z[rows] = X
             assert np.array_equal(block.T.tocsr() @ X, op.apply(Z)[R])
+
+
+def unique_cases():
+    """Inputs for the ``np.unique`` equivalence test, each with its test id."""
+    rng = np.random.default_rng(17)
+    for dtype in (np.int8, np.int32, np.int64, np.uint64):
+        name, info = np.dtype(dtype).name, np.iinfo(dtype)
+        for size in (0, 1, 2, 1_000, 100_000):
+            # a range narrower than the size forces repeats; signed ones go negative
+            high = min(int(info.max), max(size // 3, 1))
+            low = max(int(info.min), -high)
+            x = rng.integers(low, high, size=size, endpoint=True, dtype=dtype)
+            yield pytest.param(x, id=f"{name}-{size}")
+        wide = rng.integers(info.min, info.max, size=1_000, endpoint=True, dtype=dtype)
+        yield pytest.param(wide, id=f"{name}-full-range")
+        yield pytest.param(np.full(1_000, info.min, dtype=dtype), id=f"{name}-all-equal")
+        yield pytest.param(np.sort(wide), id=f"{name}-sorted")
+        yield pytest.param(np.sort(wide)[::-1], id=f"{name}-reversed")
+        yield pytest.param(wide.reshape(40, 25), id=f"{name}-2d")
+    yield pytest.param(np.array([-3, 5, -3, -7, 0, 5, -7]), id="negative")
+    yield pytest.param(np.empty((0, 3), dtype=np.int64), id="2d-empty")
+    yield pytest.param([4, 1, 4, 2], id="list")
+
+
+@pytest.mark.parametrize("values", list(unique_cases()))
+def test_sorted_unique_matches_np_unique(values):
+    got, want = sorted_unique(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)

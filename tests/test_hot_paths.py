@@ -1,0 +1,92 @@
+"""No per-graph or per-run path of spal calls ``np.unique``.
+
+On numpy 2.x ``np.unique`` takes a hash-based path that is an order of
+magnitude slower than the one sort of ``graph.sorted_unique`` (its
+docstring gives the timings). Each test below runs one path with
+``np.unique`` patched to fail when a spal module calls it directly; calls
+from numpy and scipy themselves pass through.
+
+Not covered: ``scan.structural_similarity``, a per-pair utility that calls
+``np.union1d`` and ``np.intersect1d`` on two neighbourhoods.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+import pytest
+
+from spal import gcn
+from spal import selection as selection_module
+from spal.cli import main
+from spal.experiment import run_single
+from spal.graph import load_graph
+from spal.pagerank import pagerank_partition
+from spal.scan import ScanParams, scan_partition
+from spal.selection import STRATEGY_NAMES, spa_select
+from spal.synthetic import export_graph_files, sbm_graph
+
+PARAMS = ScanParams(0.28, 2)
+
+
+@pytest.fixture(autouse=True)
+def unique_refused_from_spal(monkeypatch):
+    real = np.unique
+
+    def guarded(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("spal"):
+            raise AssertionError(f"np.unique called from {caller}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", guarded)
+
+
+@pytest.fixture
+def g():
+    return sbm_graph(4, 400, 0.1, 0.01, 1.0, 7)
+
+
+def test_guard_catches_a_direct_call():
+    caller = type(sys)("spal.planted")  # a module named as spal's are
+    exec("import numpy as np\ndef f(x): return np.unique(x)", caller.__dict__)
+    with pytest.raises(AssertionError, match="spal.planted"):
+        caller.f(np.arange(3))
+    assert np.isin(np.arange(3), [1]).sum() == 1  # numpy's own calls pass
+
+
+def test_load_and_build(g, tmp_path):
+    paths = (tmp_path / "edges.txt", tmp_path / "features.csv", tmp_path / "labels.txt")
+    export_graph_files(g, *paths)
+    loaded = load_graph(*paths)
+    assert np.array_equal(loaded.csr_targets, g.csr_targets)
+
+
+def test_partition_and_block_pagerank(g, tmp_path, capsys):
+    assignment = scan_partition(g, PARAMS)
+    pagerank_partition(g, assignment.community_of)
+    out = tmp_path / "out"
+    assert main(["partition", "--synthetic", "sbm:4,400,0.1,0.01,1.0,7",
+                 "--epsilon", "0.28", "--mu", "2", "--out", str(out)]) == 0
+    assert "size histogram: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("overlap_from", [None, 0], ids=["serial", "overlapped"])
+def test_spa_select_every_budget_class(g, overlap_from, monkeypatch):
+    if overlap_from is not None:
+        monkeypatch.setattr(selection_module, "_OVERLAP_FROM", overlap_from)
+    k = scan_partition(g, PARAMS).num_communities
+    for b in (k - 1, k, k + 5):  # cut, exact fit, top-up
+        assert len(spa_select(g, PARAMS, b=b).selected) == b
+
+
+def test_train_and_predict(g):
+    model = gcn.train(g, np.arange(0, 400, 20), gcn.TrainConfig(epochs=5))
+    assert gcn.predict(model, g).shape == (g.num_nodes,)
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_run_single(g, strategy):
+    run = run_single(strategy, g, 8, 0, gcn.TrainConfig(epochs=5), PARAMS)
+    assert 0.0 <= run.accuracy <= 1.0
