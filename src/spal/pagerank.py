@@ -1,7 +1,7 @@
-"""Damped PageRank by power iteration, on the whole graph, on the induced
-subgraph of a node subset, or batched over every block of a partition.
+"""Damped PageRank by power iteration, on the whole graph or batched over
+the induced subgraphs of every block of a partition.
 
-All three run one loop: each iteration is one scipy CSR product over the
+Both run one loop: each iteration is one scipy CSR product over the
 blocks still iterating, with scores bit-identical to a per-edge
 ``np.bincount`` scatter (see ``_power_loop``). The batched form,
 ``pagerank_partition``, takes the partition as flat labels, returns flat
@@ -208,45 +208,32 @@ def _power_loop(
     return scores, iterations, converged
 
 
-def pagerank(
-    g: AttributedGraph,
-    subset: np.ndarray | list[int] | None = None,
-    params: PageRankParams | None = None,
-) -> ScoreVector:
-    """Power-iterate PR <- (1-d)/N + d * sum_{v in B(u)} PR(v)/deg(v).
+def pagerank(g: AttributedGraph, params: PageRankParams | None = None) -> ScoreVector:
+    """Power-iterate PR <- (1-d)/N + d * sum_{v in B(u)} PR(v)/deg(v) on the
+    whole graph.
 
-    With a subset, scores are computed on the induced subgraph (N equals the
-    subset size and degrees count induced edges only). Degree-zero nodes
-    redistribute their mass uniformly each iteration, so scores always sum
-    to 1. Iteration stops when the L1 change drops below the tolerance.
+    Degree-zero nodes redistribute their mass uniformly each iteration, so
+    scores always sum to 1. Iteration stops when the L1 change drops below
+    the tolerance. ``pagerank_partition`` is the same loop on the induced
+    subgraph of each block of a partition.
     """
-    return pagerank_loop(g, subset, params)()
+    return pagerank_loop(g, params)()
 
 
 def pagerank_loop(
-    g: AttributedGraph,
-    subset: np.ndarray | list[int] | None = None,
-    params: PageRankParams | None = None,
+    g: AttributedGraph, params: PageRankParams | None = None
 ) -> Callable[[], ScoreVector]:
-    """``pagerank`` in two steps: this call checks the subset and allocates
-    every array the iteration uses; the call it returns runs the iteration
-    alone and returns the ``ScoreVector``.
+    """``pagerank`` in two steps: this call allocates every array the
+    iteration uses; the call it returns runs the iteration alone and
+    returns the ``ScoreVector``.
 
     The returned call may run on another thread. Allocating first keeps
     the arrays out of that thread's malloc arena, which glibc does not hand
     back to the system when they are freed.
     """
-    params = params or PageRankParams()
-    if subset is None:
-        ids = np.arange(g.num_nodes, dtype=np.int64)
-    else:
-        ids = node_index(subset, g.num_nodes, "subgraph")
-    block_of = np.zeros(ids.size, dtype=np.int64)
-    if ids.size == g.num_nodes:
-        csr = g.csr_offsets, g.csr_targets
-    else:
-        csr = _induced_csr(g, ids, block_of)
-    state = _power_setup(*csr, block_of, params)
+    ids = np.arange(g.num_nodes, dtype=np.int64)
+    state = _power_setup(g.csr_offsets, g.csr_targets, np.zeros(ids.size, dtype=np.int64),
+                         params or PageRankParams())
 
     def run() -> ScoreVector:
         scores, iterations, converged = _power_loop(*state)
@@ -322,10 +309,11 @@ def pagerank_partition(
 
     ``community_of[v]`` is the block id of node v, in 0..k-1 with every id
     used, or -1 for a node in no block. Each block's scores are, to the
-    bit, those of ``pagerank(g, subset=block)``, but the power iterations
-    run batched: each iteration is one CSR product over the blocks that
-    have not settled yet. Blocks that repeat another's size and local
-    adjacency (see ``_repeated_blocks``) are iterated once and copied.
+    bit, those of a one-block partition of that block alone, but the power
+    iterations run batched: each iteration is one CSR product over the
+    blocks that have not settled yet. Blocks that repeat another's size
+    and local adjacency (see ``_repeated_blocks``) are iterated once and
+    copied.
     """
     params = params or PageRankParams()
     labels = np.asarray(community_of)
@@ -359,9 +347,8 @@ def pagerank_blocks(
     params: PageRankParams | None = None,
 ) -> list[ScoreVector]:
     """``pagerank_partition`` over a list of disjoint node sets, one
-    ``ScoreVector`` per block in the order given: equivalent, to the bit, to
-    calling ``pagerank(g, subset=block)`` per block. A block's ids may come
-    in any order and repeat."""
+    ``ScoreVector`` per block in the order given, with each block's ids
+    ascending. A block's ids may come in any order and repeat."""
     params = params or PageRankParams()
     if not blocks:
         return []

@@ -6,8 +6,8 @@ per-node provenance and the wall-clock query time.
 On graphs of ``_OVERLAP_FROM`` CSR entries or more, ``spa_select`` starts
 the whole-graph PageRank loop on one worker thread before SCAN, runs SCAN
 and the block pass on the caller's thread beside it, and joins the worker
-before it returns or raises. An exact fit (as many communities as the
-budget) drops the global vector, which costs CPU time but no wall time. The picks are the same to the bit as with everything on one thread."""
+before it returns or raises. The picks are the same to the bit as with
+everything on one thread."""
 
 from __future__ import annotations
 
@@ -117,13 +117,13 @@ class SelectionResult:
 
 
 def _warn_unconverged(
-    params: PageRankParams, block_converged: np.ndarray, global_sv: ScoreVector | None
+    params: PageRankParams, block_converged: np.ndarray, global_sv: ScoreVector
 ) -> None:
     """One RuntimeWarning when any block or the global vector stopped at the
     iteration cap; ``block_converged`` holds one flag per block."""
     capped = int(np.count_nonzero(~block_converged))
     parts = [f"{capped} of {block_converged.size} community blocks"] if capped else []
-    if global_sv is not None and not global_sv.converged:
+    if not global_sv.converged:
         parts.append("the global vector")
     if parts:
         warnings.warn(
@@ -156,31 +156,26 @@ _OVERLAP_FROM = 200_000
 
 
 def _partition_and_pagerank(
-    g: AttributedGraph, scan_params: ScanParams, pr_params: PageRankParams, b_eff: int
-) -> tuple[CommunityAssignment, BlockScores, ScoreVector | None]:
+    g: AttributedGraph, scan_params: ScanParams, pr_params: PageRankParams
+) -> tuple[CommunityAssignment, BlockScores, ScoreVector]:
     """SCAN's partition, the block PageRank over it, and the whole-graph
-    vector unless the community count equals ``b_eff`` (an exact fit, which
-    needs no cut and no top-up; then None).
+    vector.
 
     The global vector depends on neither the partition nor the blocks, so
     on graphs of ``_OVERLAP_FROM`` CSR entries or more its loop runs on one
-    worker thread from before SCAN starts, and an exact fit drops its
-    result. The worker is joined before this returns or raises.
-    ``pagerank_loop`` allocates its arrays on this thread, so only the loop
-    runs on the worker."""
+    worker thread from before SCAN starts. The worker is joined before this
+    returns or raises. ``pagerank_loop`` allocates its arrays on this
+    thread, so only the loop runs on the worker."""
     if g.csr_targets.size < _OVERLAP_FROM:
         assignment = scan_partition(g, scan_params)
         blocks = pagerank_partition(g, assignment.community_of, pr_params)
-        exact_fit = assignment.num_communities == b_eff
-        return assignment, blocks, None if exact_fit else pagerank(g, params=pr_params)
+        return assignment, blocks, pagerank(g, params=pr_params)
     global_loop = pagerank_loop(g, params=pr_params)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="spal-pagerank") as pool:
         future = pool.submit(global_loop)
         assignment = scan_partition(g, scan_params)
         blocks = pagerank_partition(g, assignment.community_of, pr_params)
-    global_sv = future.result()  # read on an exact fit too, so a worker failure surfaces
-    exact_fit = assignment.num_communities == b_eff
-    return assignment, blocks, None if exact_fit else global_sv
+    return assignment, blocks, future.result()
 
 
 def spa_select(
@@ -193,43 +188,42 @@ def spa_select(
 
     Communities come from the structural partition; each contributes the
     node with the highest PageRank on its induced subgraph (ties toward the
-    lowest node id). When fewer representatives than the budget exist, the
-    remaining slots are filled with the highest globally-ranked nodes not
-    yet selected. When representatives exceed the budget, the ones with the
-    highest global PageRank are kept. The final list is ordered by
+    lowest node id). The picks are the first b of one order: the
+    representatives by global PageRank, then every other node by global
+    PageRank, so the picks at budget b are a subset of those at b + 1. A
+    representative carries its block score and community id, any other
+    pick its global score and community -1. The final list is ordered by
     descending selection score.
     """
     check_budget("spa", b, g.num_nodes)
     scan_params = scan_params or ScanParams()
     pr_params = pr_params or PageRankParams()
     with Stopwatch() as sw:
-        b_eff = min(b, g.num_nodes)
-        # the cut keeps, and the top-up adds, the highest global scores
-        assignment, blocks, global_sv = _partition_and_pagerank(g, scan_params, pr_params, b_eff)
+        assignment, blocks, global_sv = _partition_and_pagerank(g, scan_params, pr_params)
         nodes, block_scores = blocks.node_ids, blocks.scores
         # a community's first member in rank order is its representative
         ranked = _rank_order(block_scores, nodes)
         first = np.full(assignment.num_communities, ranked.size, dtype=np.int64)
         np.minimum.at(first, assignment.community_of[nodes[ranked]], np.arange(ranked.size))
-        picks, scores = nodes[ranked[first]], block_scores[ranked[first]]
+        reps = nodes[ranked[first]]  # reps[c] represents community c
 
-        if picks.size > b_eff:
-            keep = _rank_order(global_sv.scores[picks], picks)[:b_eff]
-            picks, scores = picks[keep], scores[keep]
-        communities = assignment.community_of[picks]
-
-        if picks.size < b_eff:
-            order = _rank_order(global_sv.scores, global_sv.node_ids)
-            top_up = order[~np.isin(order, picks)][: b_eff - picks.size]
-            picks = np.concatenate([picks, top_up])
-            scores = np.concatenate([scores, global_sv.scores[top_up]])
-            communities = np.concatenate([communities, np.full(top_up.size, -1)])
+        # per node: the selection score, and the community it represents or -1
+        global_scores = global_sv.scores
+        score, community = global_scores.copy(), np.full(g.num_nodes, -1)
+        score[reps] = block_scores[ranked[first]]
+        community[reps] = np.arange(reps.size)
+        order = reps[_rank_order(global_scores[reps], reps)]
+        # the rest is ranked only for a budget that reaches it: on 1e5 random
+        # scores _rank_order takes 16 ms, on 14,431 of them 3.3 ms (2 vCPU guest)
+        if b > reps.size:
+            rest = np.flatnonzero(community < 0)
+            order = np.append(order, rest[_rank_order(global_scores[rest], rest)])
+        picks = order[:b]
 
         _warn_unconverged(pr_params, blocks.converged, global_sv)
-        final = _rank_order(scores, picks)
         chosen = [
-            SelectionRecord(int(v), int(c), float(s))
-            for v, c, s in zip(picks[final], communities[final], scores[final])
+            SelectionRecord(int(v), int(community[v]), float(score[v]))
+            for v in picks[_rank_order(score[picks], picks)]
         ]
     return SelectionResult("spa", b, None, chosen, sw.ms)
 
@@ -275,7 +269,9 @@ def uncertainty_select(
     if bad.size:
         raise ValueError(f"probability row {bad[0]} is not a finite distribution summing to 1")
     labeled_arr = node_index(labeled, n, "labeled", allow_empty=True)
-    unlabeled = np.setdiff1d(np.arange(n, dtype=np.int64), labeled_arr, assume_unique=True)
+    is_unlabeled = np.ones(n, dtype=bool)
+    is_unlabeled[labeled_arr] = False
+    unlabeled = np.flatnonzero(is_unlabeled)
     if unlabeled.size == 0:
         raise ValueError("all nodes are already labeled")
     with Stopwatch() as sw:

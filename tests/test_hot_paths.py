@@ -1,13 +1,16 @@
-"""No per-graph or per-run path of spal calls ``np.unique``.
+"""No per-graph or per-run path of spal calls ``np.unique``, ``np.isin``
+or ``np.setdiff1d``.
 
 On numpy 2.x ``np.unique`` takes a hash-based path that is an order of
 magnitude slower than the one sort of ``graph.sorted_unique`` (its
-docstring gives the timings). Each test below runs one path with
-``np.unique`` patched to fail when a spal module calls it directly; calls
-from numpy and scipy themselves pass through.
+docstring gives the timings); ``np.isin`` and ``np.setdiff1d`` sort or
+hash their inputs where a boolean mask over the node ids does. Each test
+below runs one path with these functions patched to fail when a spal
+module calls them directly; calls from numpy and scipy themselves pass
+through.
 
-Not covered: ``scan.structural_similarity``, a per-pair utility that calls
-``np.union1d`` and ``np.intersect1d`` on two neighbourhoods.
+The one exception: ``scan.structural_similarity``, a per-pair utility
+that calls ``np.union1d`` and ``np.intersect1d`` on two neighbourhoods.
 """
 
 from __future__ import annotations
@@ -30,17 +33,23 @@ from spal.synthetic import export_graph_files, sbm_graph
 PARAMS = ScanParams(0.28, 2)
 
 
-@pytest.fixture(autouse=True)
-def unique_refused_from_spal(monkeypatch):
-    real = np.unique
+REFUSED = ("unique", "isin", "setdiff1d")
 
+
+def refused_from_spal(name, real):
     def guarded(*args, **kwargs):
         caller = sys._getframe(1).f_globals.get("__name__", "")
         if caller.startswith("spal"):
-            raise AssertionError(f"np.unique called from {caller}")
+            raise AssertionError(f"np.{name} called from {caller}")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", guarded)
+    return guarded
+
+
+@pytest.fixture(autouse=True)
+def guard_refused(monkeypatch):
+    for name in REFUSED:
+        monkeypatch.setattr(np, name, refused_from_spal(name, getattr(np, name)))
 
 
 @pytest.fixture
@@ -50,10 +59,11 @@ def g():
 
 def test_guard_catches_a_direct_call():
     caller = type(sys)("spal.planted")  # a module named as spal's are
-    exec("import numpy as np\ndef f(x): return np.unique(x)", caller.__dict__)
-    with pytest.raises(AssertionError, match="spal.planted"):
-        caller.f(np.arange(3))
-    assert np.isin(np.arange(3), [1]).sum() == 1  # numpy's own calls pass
+    for name in REFUSED:
+        exec(f"import numpy as np\ndef f(x): return np.{name}(x, [1])", caller.__dict__)
+        with pytest.raises(AssertionError, match=f"np.{name} called from spal.planted"):
+            caller.f(np.arange(3))
+    assert np.isin(np.arange(3), [1]).sum() == 1  # calls from outside spal pass
 
 
 def test_load_and_build(g, tmp_path):

@@ -25,6 +25,14 @@ def cycle_graph(n):
     return make_graph([(i, (i + 1) % n) for i in range(n)])
 
 
+def one_block(g, block, params=None):
+    """``pagerank_partition`` with ``block`` as its only block: PageRank on
+    the subgraph ``block`` induces."""
+    community_of = np.full(g.num_nodes, -1)
+    community_of[block] = 0
+    return pagerank_partition(g, community_of, params)
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -52,10 +60,10 @@ class TestPageRank:
         assert sv.converged
 
     def test_single_node_subset(self, triangle):
-        sv = pagerank(triangle, subset=[1])
-        assert sv.scores.tolist() == [1.0]
-        assert sv.converged
-        assert sv.iterations_used == 1
+        block = one_block(triangle, [1])
+        assert block.scores.tolist() == [1.0]
+        assert block.converged.tolist() == [True]
+        assert block.iterations.tolist() == [1]
 
     def test_star_against_dense_oracle(self, star5):
         params = PageRankParams(damping=0.85, tolerance=1e-10)
@@ -79,23 +87,15 @@ class TestPageRank:
 
     def test_subset_induced_semantics(self, bridged_triangles):
         # induced triangle is vertex-transitive regardless of the bridge
-        sv = pagerank(bridged_triangles, subset=[0, 1, 2])
-        assert np.abs(sv.scores - 1 / 3).max() < 1e-9
+        block = one_block(bridged_triangles, [0, 1, 2])
+        assert np.abs(block.scores - 1 / 3).max() < 1e-9
 
     def test_subset_all_dangling(self, path3):
         # {0, 2} induces no edges: both nodes dangle, mass stays uniform
-        sv = pagerank(path3, subset=[0, 2])
-        assert np.allclose(sv.scores, 0.5)
-
-    def test_subset_validation(self, triangle):
-        with pytest.raises(ValueError):
-            pagerank(triangle, subset=[])
-        with pytest.raises(ValueError):
-            pagerank(triangle, subset=[0, 9])
+        block = one_block(path3, [0, 2])
+        assert np.allclose(block.scores, 0.5)
 
     def test_float_ids_rejected(self, bridged_triangles):
-        with pytest.raises(ValueError, match="integers"):
-            pagerank(bridged_triangles, subset=[1.7, 3])
         with pytest.raises(ValueError, match="integers"):
             pagerank_blocks(bridged_triangles, [[0.5, 2.2]])
         with pytest.raises(ValueError, match="integers"):
@@ -147,8 +147,8 @@ class TestPageRank:
 
     def test_dangling_subset_mass_conserved(self, path3):
         for cap in range(1, 5):
-            sv = pagerank(path3, subset=[0, 2], params=PageRankParams(max_iterations=cap))
-            assert abs(sv.scores.sum() - 1.0) < 1e-9
+            block = one_block(path3, [0, 2], PageRankParams(max_iterations=cap))
+            assert abs(block.scores.sum() - 1.0) < 1e-9
 
 
 class TestPagerankBlocks:
@@ -158,10 +158,10 @@ class TestPagerankBlocks:
         blocks = [np.arange(0, 13), np.arange(13, 30), np.arange(30, 40)]
         batched = pagerank_blocks(g, blocks)
         for block, sv in zip(blocks, batched):
-            single = pagerank(g, subset=block)
+            single = one_block(g, block)
             assert np.array_equal(sv.scores, single.scores)
-            assert sv.iterations_used == single.iterations_used
-            assert sv.converged == single.converged
+            assert [sv.iterations_used] == single.iterations.tolist()
+            assert [sv.converged] == single.converged.tolist()
 
     def test_empty_list(self, triangle):
         assert pagerank_blocks(triangle, []) == []
@@ -299,7 +299,7 @@ def clique_edges(n):
 class TestRepeatedBlocks:
     """Blocks that repeat another's size and local adjacency are iterated
     once and copied; every block still matches the lockstep reference and
-    its own ``pagerank(subset=…)`` to the bit."""
+    a one-block partition of itself to the bit."""
 
     PARAMS = [PageRankParams(), PageRankParams(0.85, 1e-12, 7), PageRankParams(max_iterations=2)]
 
@@ -333,9 +333,9 @@ class TestRepeatedBlocks:
         assert np.array_equal(flat.converged, converged)
         for block, it, c, sv in zip(blocks, iterations, converged,
                                     pagerank_blocks(g, blocks, params), strict=True):
-            single = pagerank(g, subset=block, params=params)
+            single = one_block(g, block, params)
             assert np.array_equal(sv.scores, single.scores)
-            assert (it, c) == (single.iterations_used, single.converged)
+            assert [(it, c)] == list(zip(single.iterations, single.converged))
 
     def test_capped_blocks_copy_their_flags(self):
         g, blocks = repeated_shapes_graph(np.random.default_rng(53))

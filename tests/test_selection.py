@@ -27,7 +27,7 @@ from spal.selection import (
 from spal.synthetic import sbm_graph
 
 from conftest import heavy_tailed_graph, make_graph, random_graph
-from oracles import spa_select_reference
+from oracles import block_power_reference, spa_select_reference
 
 selection_module = importlib.import_module("spal.selection")
 
@@ -169,9 +169,9 @@ class TestSpaSelect:
             part = scan_partition(g, params)
             rep_of = {r.community: r.node for r in res.provenance if r.community >= 0}
             for cid, community in enumerate(part.communities):
-                sv = pagerank(g, subset=community)
-                rep_idx = np.searchsorted(sv.node_ids, rep_of[cid])
-                assert not (sv.scores > sv.scores[rep_idx]).any()
+                scores, _, _ = block_power_reference(g, [community], PageRankParams())
+                rep_idx = np.searchsorted(community, rep_of[cid])
+                assert not (scores > scores[rep_idx]).any()
 
     def test_invalid_budget(self, triangle):
         with pytest.raises(ValueError):
@@ -202,6 +202,23 @@ class TestSpaMatchesReference:
         k = {name: scan_partition(*case).num_communities for name, case in SPA_CASES.items()}
         assert k["star-no-communities"] == k["sbm-eps1"] == 0
         assert k["disjoint-cliques"] == 3 and k["sbm-readme"] > 1
+
+
+@pytest.mark.parametrize("name", SPA_CASES)
+def test_spa_picks_nest_across_budgets(name):
+    """The picks at budget b are a strict subset of those at b + 1: every
+    budget below n on graphs under 100 nodes; on the 400-node SBMs, around
+    the community count, at the ends and at every 25th budget."""
+    g, params = SPA_CASES[name]
+    k, n = scan_partition(g, params).num_communities, g.num_nodes
+    if n < 100:
+        budgets = set(range(1, n))
+    else:
+        budgets = {b for b in (1, k - 1, k, k + 1, n - 1) if b >= 1} | set(range(25, n, 25))
+    picks = {b: set(spa_select(g, params, b=b).selected)
+             for b in budgets | {b + 1 for b in budgets}}
+    for b in sorted(budgets):
+        assert picks[b] < picks[b + 1], (name, b)
 
 
 class TestConvergenceWarning:
@@ -249,7 +266,7 @@ def pools_started(monkeypatch):
 def test_small_graphs_run_inline(pools_started):
     g = sbm_graph(4, 400, 0.1, 0.01, 1.0, 7)
     assert g.csr_targets.size < selection_module._OVERLAP_FROM
-    spa_select(g, ScanParams(0.28, 2), b=1)  # a cut, so the global vector is used
+    spa_select(g, ScanParams(0.28, 2), b=1)
     assert pools_started == []
 
 
@@ -263,21 +280,23 @@ class TestConvergenceWarningOverlapped(TestConvergenceWarning):
     """The warnings with the global vector computed on a worker thread."""
 
     def test_global_vector_reported_only_when_used(self):
+        # every budget ranks the representatives by the global vector, so a
+        # capped one is named at an exact fit too
         g = sbm_graph(4, 400, 0.1, 0.01, 1.0, 7)
         params = ScanParams(0.28, 2)
         k = scan_partition(g, params).num_communities
         capped = PageRankParams(max_iterations=1)
-        for b, uses_global in ((k, False), (k - 1, True), (k + 1, True)):
+        for b in (k, k - 1, k + 1):
             with pytest.warns(RuntimeWarning) as rec:
                 spa_select(g, params, capped, b=b)
             assert len(rec) == 1
-            assert ("the global vector" in str(rec[0].message)) == uses_global, b
+            assert "the global vector" in str(rec[0].message), b
 
 
 @pytest.mark.usefixtures("overlap_everywhere")
 class TestOverlappedGlobalPagerank:
     def test_one_pool_per_call_in_every_budget_class(self, pools_started, monkeypatch):
-        # the global loop starts before SCAN, so an exact fit starts it too
+        # the global loop starts before SCAN, in every budget class
         g, params = SPA_CASES["disjoint-cliques"]
         for b in (3, 2, 4):  # three communities: exact fit, cut, top-up
             got = spa_select(g, params, b=b).to_dict()
@@ -295,7 +314,7 @@ class TestOverlappedGlobalPagerank:
         g = heavy_tailed_graph()
         scan_params, params = ScanParams(0.3, 2), PageRankParams()
         assignment, blocks, global_sv = selection_module._partition_and_pagerank(
-            g, scan_params, params, b_eff=1)
+            g, scan_params, params)
         assert np.array_equal(assignment.community_of,
                               scan_partition(g, scan_params).community_of)
         want = pagerank(g, params=params)
@@ -349,7 +368,7 @@ class TestOverlappedGlobalPagerank:
     def test_worker_failure_reaches_the_caller(self, monkeypatch, two_triangles):
         ran_on = []
 
-        def failing_loop(g, subset=None, params=None):
+        def failing_loop(g, params=None):
             def run():
                 ran_on.append(threading.current_thread())
                 raise FloatingPointError("loop failed")
@@ -357,7 +376,7 @@ class TestOverlappedGlobalPagerank:
 
         monkeypatch.setattr(selection_module, "pagerank_loop", failing_loop)
         before = threading.enumerate()
-        for b in (4, 2):  # two communities: top-up, and an exact fit that drops the vector
+        for b in (4, 2):  # two communities: top-up, and an exact fit
             with pytest.raises(FloatingPointError, match="loop failed"):
                 spa_select(two_triangles, ScanParams(0.5, 1), b=b)
         assert len(ran_on) == 2 and threading.current_thread() not in ran_on
@@ -370,8 +389,8 @@ class TestOverlappedGlobalPagerank:
         finished = []
         real_loop = selection_module.pagerank_loop
 
-        def recording_loop(g, subset=None, params=None):
-            run = real_loop(g, subset, params)
+        def recording_loop(g, params=None):
+            run = real_loop(g, params)
             return lambda: finished.append(run())
 
         def failing_stage(*args, **kwargs):
