@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import gcn
-from .graph import AttributedGraph
+from .graph import AttributedGraph, check_int
 from .metrics import accuracy, macro_f1
 from .output import write_json, write_records_csv
 from .pagerank import PageRankParams
@@ -145,14 +145,13 @@ def check_plan(
     g: AttributedGraph, strategies: list[str], budgets: list[int], seeds: list[int]
 ) -> list[tuple[str, int, int]]:
     """The (strategy, budget, seed) runs in order, once every list is
-    non-empty and free of repeats, every seed is non-negative and every
-    strategy accepts every budget on ``g``."""
+    non-empty and free of repeats, every seed is a non-negative integer
+    and every strategy accepts every budget on ``g``."""
     if not strategies or not budgets or not seeds:
         raise ValueError("strategies, budgets, and seeds must be non-empty")
     check_strategies(strategies)
     for seed in seeds:
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        check_int(seed, "seed", 0)
     # a repeat would be run again and counted as one more independent run
     for what, values in (("strategy", strategies), ("budget", budgets), ("seed", seeds)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
@@ -188,8 +187,7 @@ def iter_runs(
             raise ValueError(
                 f"budget {b} outside [1, {g.num_nodes}): no node would be left to evaluate on"
             )
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_int(jobs, "jobs", 1)
     return _run_plan(g, plan, cfg or gcn.TrainConfig(), scan_params, pr_params, jobs)
 
 

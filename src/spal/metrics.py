@@ -36,4 +36,4 @@ def macro_f1(
         recall = tp / (tp + fn) if tp + fn > 0 else 0.0
         if precision + recall > 0:
             f1_sum += 2.0 * precision * recall / (precision + recall)
-    return f1_sum / num_classes
+    return float(f1_sum / num_classes)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -33,6 +34,7 @@ def write_records_csv(path: str | Path, record_type: type, records: Iterable) ->
 
 
 def write_json(path: str | Path, data) -> None:
-    with Path(path).open("w", encoding="utf-8") as f:
-        json.dump(data, f, indent=2)
-        f.write("\n")
+    """Write ``data`` as JSON; numpy integers are written as ints. The text
+    is built first, so a value that cannot be serialized leaves no file."""
+    text = json.dumps(data, indent=2, default=operator.index)
+    Path(path).write_text(text + "\n", encoding="utf-8")

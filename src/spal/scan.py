@@ -6,9 +6,11 @@ The overlaps come from one pass over the edges that does not depend on
 epsilon or mu: for adjacent i and j, |N[i] ∩ N[j]| is the number of
 triangles on edge (i, j) plus 2, and each triangle is listed once, from
 its corner of lowest (degree, id) rank. That takes O(m·sqrt(m)) wedge
-checks in the worst case (see ``_edge_overlap``). Each (epsilon, mu) point
-is then one threshold step, a mask and connected components, so a sweep
-over many points runs the edge pass once (``scan_sweep``)."""
+checks in the worst case (see ``_edge_overlap``). The pass returns each
+edge once, oriented from its end of lower rank, as it counts it. Each
+(epsilon, mu) point is then one threshold step, a mask and connected
+components, so a sweep over many points runs the edge pass once
+(``scan_sweep``)."""
 
 from __future__ import annotations
 
@@ -73,7 +75,10 @@ _LOOKUP_CHUNK = 1 << 16
 
 
 def _edge_overlap(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, |N[i] ∩ N[j]|) for every edge i < j, in CSR order.
+    """(u, v, |N[u] ∩ N[v]|) for every edge, each edge once, from the end
+    of lower (degree, id) rank: u ranks below v, and the rows come in CSR
+    order of u, each u's rows sorted by v. No caller reads the order; the
+    threshold step in ``scan_sweep`` is symmetric in u and v.
 
     For adjacent i and j the closed neighborhoods share i, j and every
     common neighbor, so |N[i] ∩ N[j]| = triangles(i, j) + 2. Triangles are
@@ -94,28 +99,14 @@ def _edge_overlap(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     n = g.num_nodes
     targets, deg = g.csr_targets, g.degrees
     src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    upper = src < targets
-    i, j = src[upper], targets[upper]
-    m = i.size
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(deg, kind="stable")] = np.arange(n)
     out = np.flatnonzero(rank[src] < rank[targets])
-    out_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src[out], minlength=n), out=out_offsets[1:])
+    out_src = src[out]
     del src  # the dels here keep SCAN's peak memory down
-
-    # the edge id of each out-edge, ids in CSR upper order: a lower entry
-    # (j, i) is upper entry (i, j) transposed, and transposing the upper
-    # triangle lists the lower entries in CSR order
-    edge_id = np.empty(targets.size, dtype=np.int64)
-    edge_id[upper] = np.arange(m)
-    upper_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(i, minlength=n), out=upper_offsets[1:])
-    transposed = sp.csr_matrix((np.arange(m), j, upper_offsets), shape=(n, n)).tocsc()
-    edge_id[~upper] = transposed.data
-    out_id = edge_id[out]
-    del edge_id, transposed, upper
-
+    m = out.size
+    out_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(out_src, minlength=n), out=out_offsets[1:])
     out_dst = targets[out]
     del out
     # wedges whose first out-edge is x: the out-edges after x in its row
@@ -151,9 +142,8 @@ def _edge_overlap(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
         triangles[: credit.size] += credit
         start, done = stop, int(ends[stop - 1])
 
-    common = np.empty(m, dtype=np.int64)
-    common[out_id] = triangles + 2
-    return i, j, common
+    triangles += 2
+    return out_src, out_dst, triangles
 
 
 def structural_similarity(g: AttributedGraph, i: int, j: int) -> float:

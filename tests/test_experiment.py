@@ -103,10 +103,26 @@ class TestCheckPlan:
         (["spa", "random", "spa"], [2], [0], "repeated strategy 'spa'"),
         (["spa"], [2, 3, 2], [0], "repeated budget 2"),
         (["random"], [2], [0, 1, 0, 1], "repeated seed 0"),
+        (["random"], [2], [0, 1.5], "seed must be an integer, got 1.5"),
+        (["random"], [2], [True], "seed must be an integer, got True"),
     ])
     def test_rejects(self, small_sbm, strategies, budgets, seeds, match):
         with pytest.raises(ValueError, match=re.escape(match)):
             check_plan(small_sbm, strategies, budgets, seeds)
+
+    def test_numpy_integer_seeds_accepted(self, small_sbm):
+        plan = check_plan(small_sbm, ["random"], [2], list(np.arange(2)))
+        assert plan == [("random", 2, 0), ("random", 2, 1)]
+
+    @pytest.mark.parametrize("jobs, match", [
+        (1.5, "jobs must be an integer, got 1.5"),
+        (True, "jobs must be an integer, got True"),
+        (0, "jobs must be >= 1, got 0"),
+    ])
+    def test_jobs_must_be_a_positive_integer(self, small_sbm, jobs, match):
+        # checked on the call, before any run starts
+        with pytest.raises(ValueError, match=re.escape(match)):
+            iter_runs(small_sbm, ["random"], [2], [0], FAST, jobs=jobs)
 
     def test_evaluation_needs_an_unselected_node(self, small_sbm):
         # spa returns every node at b >= n, which leaves nothing to evaluate on
@@ -216,3 +232,15 @@ def test_report_serialization(tmp_path, small_sbm):
     data = json.loads(report_json.read_text())
     assert len(data["runs"]) == 2
     assert len(data["aggregates"]) == 1
+
+
+def test_numpy_seeds_write_the_plain_int_report(tmp_path, small_sbm):
+    paths = []
+    for seeds in ([0, 1], list(np.arange(2))):
+        report = run_experiment(small_sbm, ["random"], [4], seeds, FAST)
+        for run in report.runs:  # the wall-clock field varies between reruns
+            run.query_time_ms = 0.0
+        report.aggregates = aggregate_runs(report.runs)
+        paths.append(tmp_path / f"report{len(paths)}.json")
+        report.write_json(paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()

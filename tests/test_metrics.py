@@ -62,6 +62,12 @@ class TestEvalSetIds:
 
 
 class TestMacroF1:
+    def test_returns_a_python_float(self):
+        labels = np.array([0, 1, 1, 0])
+        for preds in (labels, 1 - labels, np.zeros(4, dtype=int)):
+            assert type(macro_f1(preds, labels, range(4), 2)) is float
+            assert type(accuracy(preds, labels, range(4))) is float
+
     def test_perfect_all_classes_present(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
         assert macro_f1(labels, labels, range(6), 3) == pytest.approx(1.0)

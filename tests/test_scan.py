@@ -92,30 +92,44 @@ def overlap_cases():
     return graphs
 
 
+def canonical(u, v, common):
+    """The edge pass's rows as (min, max, overlap), sorted by (min, max):
+    the order and orientation the oracle uses."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    return lo[order], hi[order], common[order]
+
+
 class TestEdgeOverlap:
     @pytest.mark.parametrize("chunk", [1, 2, 5, None])
     def test_matches_sparse_product(self, monkeypatch, chunk):
         if chunk is not None:
             monkeypatch.setattr(scan, "_LOOKUP_CHUNK", chunk)
         for g in overlap_cases():
-            i, j, common = scan._edge_overlap(g)
+            u, v, common = scan._edge_overlap(g)
+            assert u.size == v.size == common.size == g.num_edges
+            assert common.dtype == np.int64
+            # each row starts at its end of lower (degree, id) rank
+            deg = g.degrees
+            assert np.all((deg[u] < deg[v]) | ((deg[u] == deg[v]) & (u < v)))
+            i, j, got = canonical(u, v, common)
             ref_i, ref_j, ref_common = edge_overlap_reference(g)
             assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
-            assert np.array_equal(common, ref_common)
-            assert common.dtype == np.int64
+            assert np.array_equal(got, ref_common)
 
     def test_similarity_bit_identical(self):
         # the threshold's similarity, from the edge pass and from the oracle's
         # counts, equals the one-pair function's to the bit
         for g in overlap_cases():
             sizes = (g.degrees + 1).astype(np.float64)
-            i, j, common = scan._edge_overlap(g)
-            _, _, ref_common = edge_overlap_reference(g)
-            sim = common / np.sqrt(sizes[i] * sizes[j])
+            u, v, common = scan._edge_overlap(g)
+            sim = common / np.sqrt(sizes[u] * sizes[v])
+            i, j, ref_common = edge_overlap_reference(g)
             ref_sim = ref_common / np.sqrt(sizes[i] * sizes[j])
-            pair_sim = [structural_similarity(g, int(a), int(b)) for a, b in zip(i, j)]
-            assert np.array_equal(sim.view(np.int64), ref_sim.view(np.int64))
+            pair_sim = [structural_similarity(g, int(a), int(b)) for a, b in zip(u, v)]
             assert np.array_equal(sim.view(np.int64), np.array(pair_sim).view(np.int64))
+            sim = canonical(u, v, sim)[2]
+            assert np.array_equal(sim.view(np.int64), ref_sim.view(np.int64))
 
 
 # the README's sweep grid: epsilon 0.2-0.6 x mu 2-4
@@ -125,9 +139,9 @@ SWEEP_GRID = [ScanParams(eps, mu) for eps in (0.2, 0.3, 0.4, 0.5, 0.6) for mu in
 def test_scan_peak_memory():
     g = heavy_tailed_graph()  # ~1.4e5 wedges, so the edge pass takes 3 chunks
     scan_partition(g, ScanParams(0.3, 2))  # imports csgraph, whose memory is not SCAN's
-    # Measured here: 70 B per CSR entry for one point and for 15, as for the
-    # per-pair lookups before the edge pass; checking every wedge in one
-    # chunk peaks at 90 B.
+    # Measured here: 61 B per CSR entry for one point and for 15; mapping
+    # each edge back to i < j order, with a transposed sparse copy, peaked
+    # at 70 B, and checking every wedge in one chunk peaks at 81 B.
     for grid in ([ScanParams(0.3, 2)], SWEEP_GRID):
         tracemalloc.start()
         try:
@@ -136,7 +150,7 @@ def test_scan_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 80 * g.csr_targets.size, len(grid)
+        assert peak < 66 * g.csr_targets.size, len(grid)
 
 
 def brute_force_cases():
