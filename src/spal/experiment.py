@@ -5,7 +5,6 @@ and budget."""
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -196,6 +195,8 @@ def _run_plan(g, plan, cfg, scan_params, pr_params, jobs) -> Iterator[RunRecord]
         for strategy, budget, seed in plan:
             yield run_single(strategy, g, budget, seed, cfg, scan_params, pr_params)
         return
+    from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when pooled
+
     # a fork pool starts all its workers at once, so it is no larger than the plan
     with ProcessPoolExecutor(max_workers=min(jobs, len(plan))) as pool:
         futures = [

@@ -6,7 +6,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 # Rows of the distance matrix handled per block; temporaries stay O(_ROW_CHUNK·n).
 _ROW_CHUNK = 256
@@ -108,6 +107,11 @@ def kmedoids(
             f"matrix, over the {_MAX_DENSE_BYTES / 2**30:.1f} GiB limit; "
             "use a smaller graph or a subsample of the points"
         )
+
+    # imported here, past the size guard: scipy.spatial takes ~0.22 s, or
+    # ~0.11 s once SCAN has loaded scipy.linalg (2 vCPU), and only featprop
+    # calls kmedoids
+    from scipy.spatial.distance import cdist
 
     priority = np.random.default_rng(seed).permutation(n)
     D = cdist(points, points)

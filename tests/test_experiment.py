@@ -181,7 +181,7 @@ class TestRunExperiment:
             sizes.append(max_workers)
             return ThreadPoolExecutor(max_workers)
 
-        monkeypatch.setattr(spal.experiment, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)  # _run_plan imports it
         runs = list(iter_runs(small_sbm, ["random"], [2], [0, 1], FAST, jobs=1000))
         assert sizes == [2]
         assert len(runs) == 2

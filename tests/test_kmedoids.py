@@ -128,6 +128,6 @@ def test_refuses_oversized_distance_matrix(monkeypatch):
         raise AssertionError("cdist called past the size guard")
 
     monkeypatch.setattr(kmedoids_module, "_MAX_DENSE_BYTES", 8 * 99 * 99)
-    monkeypatch.setattr(kmedoids_module, "cdist", no_cdist)
+    monkeypatch.setattr("scipy.spatial.distance.cdist", no_cdist)  # kmedoids imports it per call
     with pytest.raises(ValueError, match=r"n=100 .*GiB.*subsample"):
         kmedoids(np.zeros((100, 2)), 3)

@@ -1,16 +1,11 @@
 from __future__ import annotations
 
 import importlib
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import spal
 from spal.pagerank import PageRankParams, pagerank, pagerank_blocks, pagerank_partition
 from spal.scan import ScanParams, scan_partition
 
@@ -404,17 +399,3 @@ def test_partition_peak_memory():
     # freed early peak at 2.06 MB.
     assert peak < 16 * g.csr_targets.size
 
-
-def test_import_loads_no_csgraph_or_linalg():
-    # each adds import time to every CLI call; scan imports csgraph when it runs
-    env = dict(os.environ, PYTHONPATH=str(Path(spal.__file__).parent.parent))
-    code = (
-        "import sys, spal; "
-        "print(sorted(m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') "
-        "if m in sys.modules))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
