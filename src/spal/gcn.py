@@ -59,13 +59,11 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class GcnModel:
+    """A trained or freshly initialized GCN: its two weight matrices. The
+    optimizer's state lives only in ``train``."""
+
     W0: np.ndarray  # input -> hidden
     W1: np.ndarray  # hidden -> classes
-    m0: np.ndarray
-    v0: np.ndarray
-    m1: np.ndarray
-    v1: np.ndarray
-    step: int = 0
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -74,15 +72,10 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_model(num_features: int, num_classes: int, cfg: TrainConfig) -> GcnModel:
-    """Glorot-uniform weights seeded from the config; zeroed Adam moments."""
+    """Glorot-uniform weights seeded from the config."""
     rng = np.random.default_rng(cfg.seed)
     W0 = _glorot(rng, num_features, cfg.hidden_units)
-    W1 = _glorot(rng, cfg.hidden_units, num_classes)
-    return GcnModel(
-        W0=W0, W1=W1,
-        m0=np.zeros_like(W0), v0=np.zeros_like(W0),
-        m1=np.zeros_like(W1), v1=np.zeros_like(W1),
-    )
+    return GcnModel(W0, _glorot(rng, cfg.hidden_units, num_classes))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -193,10 +186,15 @@ def train(
     g: AttributedGraph, labeled: np.ndarray | set[int], cfg: TrainConfig | None = None
 ) -> GcnModel:
     """Adam on the labeled cross-entropy for cfg.epochs epochs, each computed
-    on the labeled nodes' 2-hop receptive field."""
+    on the labeled nodes' 2-hop receptive field. Adam is elementwise, so each
+    epoch makes one step on a flat vector that W0 and W1 are views of."""
     cfg = cfg or TrainConfig()
     idx = node_index(labeled, g.num_nodes, "labeled")
-    model = init_model(g.features.shape[1], g.num_classes, cfg)
+    init = init_model(g.features.shape[1], g.num_classes, cfg)
+    split = init.W0.size
+    w = np.concatenate([init.W0.ravel(), init.W1.ravel()])
+    model = GcnModel(w[:split].reshape(init.W0.shape), w[split:].reshape(init.W1.shape))
+    grad, m, v = np.empty_like(w), np.zeros_like(w), np.zeros_like(w)
     field = _receptive_field(g, idx)
     for epoch in range(1, cfg.epochs + 1):
         loss, gW0, gW1 = _objective_and_grads(model, field, cfg.weight_decay)
@@ -205,9 +203,8 @@ def train(
                 f"non-finite loss {loss} at epoch {epoch} "
                 f"(lr={cfg.learning_rate}, labeled={idx.size})"
             )
-        model.step += 1
-        _adam_step(model.W0, gW0, model.m0, model.v0, model.step, cfg.learning_rate)
-        _adam_step(model.W1, gW1, model.m1, model.v1, model.step, cfg.learning_rate)
+        np.concatenate([gW0.ravel(), gW1.ravel()], out=grad)
+        _adam_step(w, grad, m, v, epoch, cfg.learning_rate)
     return model
 
 

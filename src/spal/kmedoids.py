@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 
+from .graph import check_int
+
 # Rows of the distance matrix handled per block; temporaries stay O(_ROW_CHUNK·n).
 _ROW_CHUNK = 256
 # Largest float64 distance matrix kmedoids will allocate (2 GiB, n ≈ 16k).
@@ -90,13 +92,20 @@ def kmedoids(
 
     Holds the dense n×n float64 distance matrix and makes one O(n²) pass
     over it per swap; raises ValueError when that matrix would exceed
-    ``_MAX_DENSE_BYTES`` (2 GiB).
+    ``_MAX_DENSE_BYTES`` (2 GiB), and before that on a bad k, seed or
+    max_swaps or a point with a non-finite coordinate.
     """
+    check_int(k, "k", 1)
+    check_int(seed, "seed", 0)
+    check_int(max_swaps, "max_swaps", 0)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
     n = points.shape[0]
-    if not 1 <= k <= n:
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"points row {bad[0]} holds a non-finite value")
+    if k > n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if k == n:
         return np.arange(n, dtype=np.int64)

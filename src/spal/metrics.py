@@ -4,14 +4,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import node_index
+from .graph import check_int, node_index
+
+
+def _eval_pairs(predictions, labels, eval_set) -> tuple[np.ndarray, np.ndarray]:
+    """(predicted, true) classes of the eval-set nodes; ``predictions`` must
+    hold one class per node of ``labels``."""
+    predictions, labels = np.asarray(predictions), np.asarray(labels)
+    if predictions.shape[0] != labels.shape[0]:
+        raise ValueError(
+            f"predictions hold {predictions.shape[0]} nodes, labels {labels.shape[0]}"
+        )
+    idx = node_index(eval_set, labels.shape[0], "eval")
+    return predictions[idx], labels[idx]
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray, eval_set) -> float:
     """Fraction of eval-set nodes whose predicted class matches the label."""
-    labels = np.asarray(labels)
-    idx = node_index(eval_set, labels.shape[0], "eval")
-    return float(np.mean(np.asarray(predictions)[idx] == labels[idx]))
+    preds, truth = _eval_pairs(predictions, labels, eval_set)
+    return float(np.mean(preds == truth))
 
 
 def macro_f1(
@@ -23,10 +34,8 @@ def macro_f1(
     precision + recall is 0, so classes absent from the eval set contribute
     a zero term.
     """
-    labels = np.asarray(labels)
-    idx = node_index(eval_set, labels.shape[0], "eval")
-    preds = np.asarray(predictions)[idx]
-    truth = labels[idx]
+    check_int(num_classes, "num_classes", 1)
+    preds, truth = _eval_pairs(predictions, labels, eval_set)
     f1_sum = 0.0
     for c in range(num_classes):
         tp = np.sum((preds == c) & (truth == c))

@@ -3,11 +3,12 @@ Gaussian features, so every experiment can run without downloads."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .graph import AttributedGraph, from_edges
+from .graph import AttributedGraph, check_int, from_edges
 
 # Largest total sbm_graph's per-pair arrays may take (2 GiB, n ≈ 11k nodes).
 _MAX_DENSE_BYTES = 2 * 2**30
@@ -34,10 +35,13 @@ def sbm_graph(
     desk-scale fixtures (a few thousand nodes); raises ValueError when the
     per-pair arrays would exceed ``_MAX_DENSE_BYTES``.
     """
-    if blocks < 1 or num_nodes < blocks:
-        raise ValueError("need at least one node per block")
+    check_int(blocks, "blocks", 1)
+    check_int(num_nodes, "num_nodes", blocks)  # at least one node per block
+    check_int(seed, "seed", 0)
     if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
         raise ValueError("edge probabilities must be in [0, 1]")
+    if not math.isfinite(feature_snr):
+        raise ValueError(f"feature_snr must be finite, got {feature_snr}")
     need = _PAIR_BYTES * (num_nodes * (num_nodes - 1) // 2)
     if need > _MAX_DENSE_BYTES:
         raise ValueError(

@@ -350,7 +350,8 @@ def train_full_reference(g, labeled, cfg: TrainConfig | None = None):
     """Full-batch trainer: every epoch runs both layers on all n nodes and
     backpropagates an n x C gradient that is zero off the labeled rows. Same
     initialization, Adam steps and summation order per row as ``spal.gcn.train``,
-    whose weights must match these exactly."""
+    whose weights must match these exactly. Adam runs per matrix here, with
+    its own moments, against ``train``'s one update of a flat vector."""
     def forward(model, op, AX):
         Z1 = AX @ model.W0
         P2 = op.apply(np.maximum(Z1, 0.0))
@@ -377,13 +378,14 @@ def train_full_reference(g, labeled, cfg: TrainConfig | None = None):
     model = init_model(g.features.shape[1], g.num_classes, cfg)
     op = NormalizedAdjacency(g)
     AX = op.apply(g.features)
+    m0, v0 = np.zeros_like(model.W0), np.zeros_like(model.W0)
+    m1, v1 = np.zeros_like(model.W1), np.zeros_like(model.W1)
     for epoch in range(1, cfg.epochs + 1):
         loss, gW0, gW1 = objective_and_grads(model, op, AX, g.labels, idx, cfg.weight_decay)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss {loss} at epoch {epoch}")
-        model.step += 1
-        _adam_step(model.W0, gW0, model.m0, model.v0, model.step, cfg.learning_rate)
-        _adam_step(model.W1, gW1, model.m1, model.v1, model.step, cfg.learning_rate)
+        _adam_step(model.W0, gW0, m0, v0, epoch, cfg.learning_rate)
+        _adam_step(model.W1, gW1, m1, v1, epoch, cfg.learning_rate)
     return model
 
 

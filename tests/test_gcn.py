@@ -318,6 +318,11 @@ class TestReceptiveFieldTraining:
                        labels=[0, 1, 2, 3, 0, 1, 2, 3, 0, 1])
         for labeled in ({9}, {1, 4}, [7, 0, 8], np.array([9, 5, 3, 6]), list(range(10))):
             self.assert_same_as_full_batch(g, labeled, TrainConfig(seed=1))
+        # the flat Adam vector's smallest views: W0 1x1 and W1 1x4, with the
+        # one labeled row sent through _rows_matmul
+        g1 = make_graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)],
+                        num_nodes=10, features=g.features[:, :1], labels=g.labels)
+        self.assert_same_as_full_batch(g1, {1}, TrainConfig(hidden_units=1, seed=1))
 
     def test_matches_full_batch_on_an_sbm(self):
         g = sbm_graph(4, 400, 0.1, 0.01, feature_snr=1.0, seed=7)

@@ -1,16 +1,13 @@
-"""No per-graph or per-run path of spal calls ``np.unique``, ``np.isin``
-or ``np.setdiff1d``.
+"""No per-graph or per-run path of spal calls ``np.unique``, ``np.isin``,
+``np.setdiff1d`` or ``np.union1d``.
 
 On numpy 2.x ``np.unique`` takes a hash-based path that is an order of
 magnitude slower than the one sort of ``graph.sorted_unique`` (its
-docstring gives the timings); ``np.isin`` and ``np.setdiff1d`` sort or
-hash their inputs where a boolean mask over the node ids does. Each test
-below runs one path with these functions patched to fail when a spal
-module calls them directly; calls from numpy and scipy themselves pass
-through.
-
-The one exception: ``scan.structural_similarity``, a per-pair utility
-that calls ``np.union1d`` and ``np.intersect1d`` on two neighbourhoods.
+docstring gives the timings); ``np.union1d`` calls it, and ``np.isin``
+and ``np.setdiff1d`` sort or hash their inputs where a boolean mask over
+the node ids does. Each test below runs one path with these functions
+patched to fail when a spal module calls them directly; calls from numpy
+and scipy themselves pass through.
 """
 
 from __future__ import annotations
@@ -26,14 +23,14 @@ from spal.cli import main
 from spal.experiment import run_single
 from spal.graph import load_graph
 from spal.pagerank import pagerank_partition
-from spal.scan import ScanParams, scan_partition
+from spal.scan import ScanParams, scan_partition, structural_similarity
 from spal.selection import STRATEGY_NAMES, spa_select
 from spal.synthetic import export_graph_files, sbm_graph
 
 PARAMS = ScanParams(0.28, 2)
 
 
-REFUSED = ("unique", "isin", "setdiff1d")
+REFUSED = ("unique", "isin", "setdiff1d", "union1d")
 
 
 def refused_from_spal(name, real):
@@ -80,6 +77,12 @@ def test_partition_and_block_pagerank(g, tmp_path, capsys):
     assert main(["partition", "--synthetic", "sbm:4,400,0.1,0.01,1.0,7",
                  "--epsilon", "0.28", "--mu", "2", "--out", str(out)]) == 0
     assert "size histogram: " in capsys.readouterr().out
+
+
+def test_structural_similarity(g):
+    u = int(np.argmax(g.degrees))
+    for v in g.neighbors(u)[:3]:
+        assert 0.0 < structural_similarity(g, u, int(v)) <= 1.0
 
 
 @pytest.mark.parametrize("overlap_from", [None, 0], ids=["serial", "overlapped"])

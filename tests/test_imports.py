@@ -77,18 +77,21 @@ print(json.dumps([loaded_before, loaded_at_start]))
 
 
 def test_refused_kmedoids_call_leaves_scipy_spatial_unimported():
-    # the size guard runs before the import: 16,385 points need a 2.0001 GiB matrix
+    # the argument checks and the size guard run before the import: 16,385
+    # points need a 2.0001 GiB matrix
     refused, loaded = run_python("""
 import json, sys
 import numpy as np
 from spal.kmedoids import kmedoids
 
-try:
-    kmedoids(np.zeros((16_385, 1)), 3)
-    refused = False
-except ValueError:
-    refused = True
+refused = []
+for points, k in ((np.zeros((16_385, 1)), 3), (np.array([[0.0], [np.nan]]), 1)):
+    try:
+        kmedoids(points, k)
+        refused.append(False)
+    except ValueError:
+        refused.append(True)
 print(json.dumps([refused, "scipy.spatial" in sys.modules]))
 """)
-    assert refused
+    assert refused == [True, True]
     assert not loaded

@@ -62,6 +62,40 @@ def test_invalid_k():
         kmedoids(pts, 5)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k": 2.5}, "k must be an integer, got 2.5"),
+    ({"k": True}, "k must be an integer"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"max_swaps": -3}, "max_swaps must be >= 0, got -3"),
+    ({"max_swaps": 2.0}, "max_swaps must be an integer"),
+])
+def test_rejects_bad_arguments_where_they_enter(kwargs, message):
+    # k=2.5 used to fail inside _swap_deltas with a TypeError, and
+    # max_swaps=-3 skipped refinement without a warning
+    pts = np.random.default_rng(6).standard_normal((8, 2))
+    with pytest.raises(ValueError, match=message):
+        kmedoids(pts, **{"k": 3, **kwargs})
+
+
+def test_max_swaps_zero_keeps_the_greedy_build():
+    points = np.random.default_rng(5).standard_normal((40, 2))
+    with pytest.warns(RuntimeWarning, match="max_swaps=0"):
+        got = kmedoids(points, 6, seed=0, max_swaps=0)
+    assert got.tolist() == pam_reference(points, 6, seed=0, max_swaps=0).tolist()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rejects_a_non_finite_point_naming_its_row(value):
+    # a NaN used to give "attempt to get argmin of an empty sequence"
+    pts = np.random.default_rng(7).standard_normal((8, 2))
+    pts[5, 1] = value
+    with pytest.raises(ValueError, match="points row 5 holds a non-finite value"):
+        kmedoids(pts, 3)
+    with pytest.raises(ValueError, match="points row 5 "):
+        kmedoids(pts[:, 1], 3)  # one-dimensional input
+
+
 def _reference_cases(rng, count):
     """Random (points, k, seed) cases for comparison with the per-medoid loop.
 

@@ -61,7 +61,25 @@ class TestEvalSetIds:
             metric(self.PREDS, self.LABELS, [1.5])
 
 
+    @pytest.mark.parametrize("metric", METRICS, ids=["accuracy", "macro_f1"])
+    @pytest.mark.parametrize("preds", [[0, 1], [0, 1, 0, 1]], ids=["short", "long"])
+    def test_prediction_count_must_match_labels(self, metric, preds):
+        # shorter predictions used to raise an IndexError, longer ones passed
+        with pytest.raises(ValueError, match=f"predictions hold {len(preds)} nodes, labels 3"):
+            metric(np.array(preds), self.LABELS, [0, 1])
+
+
 class TestMacroF1:
+    @pytest.mark.parametrize("num_classes, message", [
+        (0, "num_classes must be >= 1, got 0"),  # used to divide by zero
+        (2.0, "num_classes must be an integer"),
+    ])
+    def test_num_classes_checked(self, num_classes, message):
+        labels = np.array([0, 1, 1, 0])
+        with pytest.raises(ValueError, match=message):
+            macro_f1(labels, labels, range(4), num_classes)
+
+
     def test_returns_a_python_float(self):
         labels = np.array([0, 1, 1, 0])
         for preds in (labels, 1 - labels, np.zeros(4, dtype=int)):

@@ -48,6 +48,21 @@ class TestSbmGraph:
         with pytest.raises(ValueError):
             sbm_graph(2, 10, 1.5, 0.1)
 
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((2.0, 40), {}, "blocks must be an integer, got 2.0"),
+        ((2, 40.0), {}, "num_nodes must be an integer, got 40.0"),
+        ((3, 2), {}, "num_nodes must be >= 3, got 2"),
+        ((2, 40), {"seed": -1}, "seed must be >= 0, got -1"),
+        ((2, 40), {"seed": 0.5}, "seed must be an integer"),
+        ((2, 40), {"feature_snr": np.inf}, "feature_snr must be finite, got inf"),
+        ((2, 40), {"feature_snr": np.nan}, "feature_snr must be finite, got nan"),
+    ])
+    def test_rejects_bad_arguments_naming_them(self, args, kwargs, message):
+        # num_nodes=40.0 used to raise numpy's AxisError, and feature_snr=inf
+        # a GraphLoadError about feature row 0
+        with pytest.raises(ValueError, match=message):
+            sbm_graph(*args, 0.3, 0.05, **kwargs)
+
     def test_refuses_oversized_pair_arrays(self, monkeypatch):
         import spal.synthetic
 
