@@ -5,17 +5,9 @@ budgeted selection strategies, and a GCN evaluation harness."""
 from .experiment import EvalReport, run_experiment, run_strategy
 from .gcn import GcnModel, TrainConfig, cross_entropy_loss, gcn_forward, predict, train
 from .graph import AttributedGraph, NormalizedAdjacency, load_graph, propagate
-from .kmedoids import kmedoids
 from .metrics import accuracy, macro_f1
-from .pagerank import (
-    BlockScores,
-    PageRankParams,
-    ScoreVector,
-    pagerank,
-    pagerank_blocks,
-    pagerank_partition,
-)
-from .scan import CommunityAssignment, ScanParams, scan_partition, structural_similarity
+from .pagerank import BlockScores, PageRankParams, ScoreVector, pagerank_partition
+from .scan import CommunityAssignment, ScanParams, scan_partition
 from .selection import (
     SelectionResult,
     featprop_select,
@@ -44,11 +36,8 @@ __all__ = [
     "cross_entropy_loss",
     "featprop_select",
     "gcn_forward",
-    "kmedoids",
     "load_graph",
     "macro_f1",
-    "pagerank",
-    "pagerank_blocks",
     "pagerank_partition",
     "pagerank_select",
     "predict",
@@ -59,7 +48,6 @@ __all__ = [
     "sbm_graph",
     "scan_partition",
     "spa_select",
-    "structural_similarity",
     "train",
     "uncertainty_select",
 ]

@@ -146,21 +146,6 @@ def _edge_overlap(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return out_src, out_dst, triangles
 
 
-def _closed_neighborhood(g: AttributedGraph, v: int) -> np.ndarray:
-    """N[v], sorted: ``v`` inserted into its sorted open neighborhood."""
-    open_nbrs = g.neighbors(v)  # raises IndexError for an id out of range
-    return np.insert(open_nbrs, np.searchsorted(open_nbrs, v), v)
-
-
-def structural_similarity(g: AttributedGraph, i: int, j: int) -> float:
-    """Closed-neighborhood overlap normalized by the geometric mean of the
-    two closed-neighborhood sizes. Symmetric, in (0, 1], and 1 exactly when
-    the closed neighborhoods coincide. Any pair is accepted, adjacent or not."""
-    closed_i, closed_j = (_closed_neighborhood(g, v) for v in (i, j))
-    common = np.intersect1d(closed_i, closed_j, assume_unique=True).size
-    return float(common / np.sqrt(float(closed_i.size) * float(closed_j.size)))
-
-
 def scan_sweep(g: AttributedGraph, grid: Iterable[ScanParams]) -> Iterator[CommunityAssignment]:
     """One partition per point of ``grid``, in order, from one edge pass.
 

@@ -1,7 +1,7 @@
 """Budgeted node-selection strategies: the structural-clustering PageRank
 method plus the random / PageRank / uncertainty / feature-propagation
-baselines. Each strategy returns an ordered, duplicate-free sample with
-per-node provenance and the wall-clock query time.
+baselines. Each strategy returns an ordered, duplicate-free sample, the
+community and score behind each pick, and the wall-clock query time.
 
 On graphs of ``_OVERLAP_FROM`` CSR entries or more, ``spa_select`` starts
 the whole-graph PageRank loop on one worker thread before SCAN, runs SCAN
@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,27 +80,22 @@ class Stopwatch:
 
 
 @dataclass
-class SelectionRecord:
-    node: int
-    community: int = -1  # -1 when the pick was not a community representative
-    score: float | None = None  # score that drove the pick, None for unscored picks
-
-
-@dataclass
 class SelectionResult:
-    """One strategy call's sample; ``selected`` is filled from ``provenance``."""
+    """One strategy call's sample as aligned sequences in pick order:
+    ``selected`` holds the node ids, ``communities`` the community each pick
+    represents (-1 when it represents none), and ``scores`` the score that
+    drove each pick, or None when the strategy is unscored."""
 
     strategy: str
     budget: int
     seed: int | None
-    provenance: list[SelectionRecord]
+    selected: list[int]
+    communities: list[int]
+    scores: list[float] | None
     query_time_ms: float = 0.0
-    selected: list[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.selected = [r.node for r in self.provenance]
 
     def to_dict(self) -> dict:
+        scores = self.scores or [None] * len(self.selected)
         return {
             "strategy": self.strategy,
             "budget": self.budget,
@@ -108,8 +103,8 @@ class SelectionResult:
             "selected": list(self.selected),
             "query_time_ms": self.query_time_ms,
             "provenance": [
-                {"node": r.node, "community": r.community, "score": r.score}
-                for r in self.provenance
+                {"node": v, "community": c, "score": s}
+                for v, c, s in zip(self.selected, self.communities, scores)
             ],
         }
 
@@ -224,11 +219,9 @@ def spa_select(
         picks = order[:b]
 
         _warn_unconverged(pr_params, blocks.converged, global_sv)
-        chosen = [
-            SelectionRecord(int(v), int(community[v]), float(score[v]))
-            for v in picks[_rank_order(score[picks], picks)]
-        ]
-    return SelectionResult("spa", b, None, chosen, sw.ms)
+        picks = picks[_rank_order(score[picks], picks)]
+        chosen = picks.tolist(), community[picks].tolist(), score[picks].tolist()
+    return SelectionResult("spa", b, None, *chosen, sw.ms)
 
 
 def random_select(g: AttributedGraph, b: int, seed: int) -> SelectionResult:
@@ -237,9 +230,8 @@ def random_select(g: AttributedGraph, b: int, seed: int) -> SelectionResult:
     check_int(seed, "seed", 0)
     with Stopwatch() as sw:
         rng = np.random.default_rng(seed)
-        picks = rng.choice(g.num_nodes, size=min(b, g.num_nodes), replace=False)
-        chosen = [SelectionRecord(int(v)) for v in picks]
-    return SelectionResult("random", b, seed, chosen, sw.ms)
+        picks = rng.choice(g.num_nodes, size=min(b, g.num_nodes), replace=False).tolist()
+    return SelectionResult("random", b, seed, picks, [-1] * len(picks), None, sw.ms)
 
 
 def pagerank_select(
@@ -252,10 +244,8 @@ def pagerank_select(
         sv = pagerank(g, params=pr_params)
         _warn_unconverged(pr_params, np.empty(0, dtype=bool), sv)
         order = _rank_order(sv.scores, sv.node_ids)[: min(b, g.num_nodes)]
-        chosen = [
-            SelectionRecord(int(sv.node_ids[i]), score=float(sv.scores[i])) for i in order
-        ]
-    return SelectionResult("pagerank", b, None, chosen, sw.ms)
+        chosen = sv.node_ids[order].tolist(), [-1] * order.size, sv.scores[order].tolist()
+    return SelectionResult("pagerank", b, None, *chosen, sw.ms)
 
 
 def uncertainty_select(
@@ -281,9 +271,9 @@ def uncertainty_select(
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
         entropy = -plogp.sum(axis=1)
-        order = _rank_order(entropy[unlabeled], unlabeled)[: min(b, unlabeled.size)]
-        chosen = [SelectionRecord(int(v), score=float(entropy[v])) for v in unlabeled[order]]
-    return SelectionResult("uncertainty", b, None, chosen, sw.ms)
+        picks = unlabeled[_rank_order(entropy[unlabeled], unlabeled)[: min(b, unlabeled.size)]]
+        chosen = picks.tolist(), [-1] * picks.size, entropy[picks].tolist()
+    return SelectionResult("uncertainty", b, None, *chosen, sw.ms)
 
 
 def featprop_select(
@@ -296,5 +286,5 @@ def featprop_select(
 
     with Stopwatch() as sw:
         Z = propagate(g, g.features, steps)
-        chosen = [SelectionRecord(int(v)) for v in kmedoids(Z, b, seed=seed)]
-    return SelectionResult("featprop", b, seed, chosen, sw.ms)
+        picks = kmedoids(Z, b, seed=seed).tolist()
+    return SelectionResult("featprop", b, seed, picks, [-1] * len(picks), None, sw.ms)

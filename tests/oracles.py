@@ -15,7 +15,7 @@ from spal.gcn import TrainConfig, TrainingDivergedError, _adam_step, _softmax, i
 from spal.graph import GraphLoadError, NormalizedAdjacency
 from spal.pagerank import PageRankParams, pagerank
 from spal.scan import ScanParams, scan_partition
-from spal.selection import SelectionRecord, SelectionResult
+from spal.selection import SelectionResult
 
 
 def parse_edge_file_reference(path: Path) -> tuple[np.ndarray, int]:
@@ -113,6 +113,22 @@ def scan_brute_force(g, epsilon: float, mu: int):
     return communities, frozenset(outliers)
 
 
+def _closed_neighborhood(g, v: int) -> np.ndarray:
+    """N[v], sorted: ``v`` inserted into its sorted open neighborhood."""
+    open_nbrs = g.neighbors(v)  # raises IndexError for an id out of range
+    return np.insert(open_nbrs, np.searchsorted(open_nbrs, v), v)
+
+
+def structural_similarity(g, i: int, j: int) -> float:
+    """SCAN's similarity for one pair: closed-neighborhood overlap
+    normalized by the geometric mean of the two closed-neighborhood sizes.
+    Symmetric, in (0, 1], and 1 exactly when the closed neighborhoods
+    coincide. Any pair is accepted, adjacent or not."""
+    closed_i, closed_j = (_closed_neighborhood(g, v) for v in (i, j))
+    common = np.intersect1d(closed_i, closed_j, assume_unique=True).size
+    return float(common / np.sqrt(float(closed_i.size) * float(closed_j.size)))
+
+
 def edge_overlap_reference(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, |N[i] ∩ N[j]|) for every edge i < j in (i, j) order, from the
     sparse product A·A: adjacent i and j share their common neighbors plus
@@ -207,10 +223,11 @@ def block_power_reference(g, blocks, params: PageRankParams):
 
 
 def spa_select_reference(g, scan_params=None, pr_params=None, b: int = 1) -> SelectionResult:
-    """``spal.spa_select`` as a per-community record loop with Python sorts:
-    each block's first exact score maximum in id order is its representative,
-    reps are cut by (-global score, id), topped up from the global
-    ``lexsort`` and finally ordered by (-score, id). No timing, no warning."""
+    """``spal.spa_select`` as a per-community loop over (node, community,
+    score) tuples with Python sorts: each block's first exact score maximum
+    in id order is its representative, reps are cut by (-global score, id),
+    topped up from the global ``lexsort`` and finally ordered by (-score,
+    id). No timing, no warning."""
     if b < 1:
         raise ValueError(f"budget must be >= 1, got {b}")
     scan_params = scan_params or ScanParams()
@@ -218,30 +235,31 @@ def spa_select_reference(g, scan_params=None, pr_params=None, b: int = 1) -> Sel
     b_eff = min(b, g.num_nodes)
     assignment = scan_partition(g, scan_params)
     communities = assignment.communities
-    reps: list[SelectionRecord] = []
+    reps: list[tuple[int, int, float]] = []
     if communities:  # block scores from the bincount loop, which iterates every block
         block_scores, _, _ = block_power_reference(g, communities, pr_params)
         ends = np.cumsum([len(c) for c in communities])
         for cid, (ids, scores) in enumerate(
                 zip(communities, np.split(block_scores, ends[:-1]))):
             top = int(ids[np.flatnonzero(scores == scores.max())[0]])
-            reps.append(SelectionRecord(top, cid, float(scores[np.searchsorted(ids, top)])))
+            reps.append((top, cid, float(scores[np.searchsorted(ids, top)])))
 
     global_sv = None
     if len(reps) > b_eff:
         global_sv = pagerank(g, params=pr_params)
-        reps = sorted(reps, key=lambda r: (-global_sv.scores[r.node], r.node))[:b_eff]
+        reps = sorted(reps, key=lambda r: (-global_sv.scores[r[0]], r[0]))[:b_eff]
 
     if len(reps) < b_eff:
         if global_sv is None:
             global_sv = pagerank(g, params=pr_params)
         order = np.lexsort((global_sv.node_ids, -global_sv.scores))
-        order = order[~np.isin(order, [r.node for r in reps])]
+        order = order[~np.isin(order, [r[0] for r in reps])]
         for v in order[: b_eff - len(reps)]:
-            reps.append(SelectionRecord(int(v), score=float(global_sv.scores[v])))
+            reps.append((int(v), -1, float(global_sv.scores[v])))
 
-    reps.sort(key=lambda r: (-r.score, r.node))
-    return SelectionResult("spa", b, None, reps)
+    reps.sort(key=lambda r: (-r[2], r[0]))
+    nodes, cids, scores = (list(column) for column in zip(*reps))
+    return SelectionResult("spa", b, None, nodes, cids, scores)
 
 
 def kmedoids_brute_force(points: np.ndarray, k: int) -> tuple[set[int], float]:

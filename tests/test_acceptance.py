@@ -117,7 +117,7 @@ def test_criterion_3_selection_contracts():
         # exhaustive maximality: no same-community node outranks its rep
         res = spa_select(g, scan_params, b=n)
         part = scan_partition(g, scan_params)
-        rep_of = {r.community: r.node for r in res.provenance if r.community >= 0}
+        rep_of = {c: v for v, c in zip(res.selected, res.communities) if c >= 0}
         for cid, community in enumerate(part.communities):
             scores, _, _ = block_power_reference(g, [community], PageRankParams())
             rep_score = scores[np.searchsorted(community, rep_of[cid])]

@@ -23,7 +23,7 @@ from spal.cli import main
 from spal.experiment import run_single
 from spal.graph import load_graph
 from spal.pagerank import pagerank_partition
-from spal.scan import ScanParams, scan_partition, structural_similarity
+from spal.scan import ScanParams, scan_partition
 from spal.selection import STRATEGY_NAMES, spa_select
 from spal.synthetic import export_graph_files, sbm_graph
 
@@ -77,12 +77,6 @@ def test_partition_and_block_pagerank(g, tmp_path, capsys):
     assert main(["partition", "--synthetic", "sbm:4,400,0.1,0.01,1.0,7",
                  "--epsilon", "0.28", "--mu", "2", "--out", str(out)]) == 0
     assert "size histogram: " in capsys.readouterr().out
-
-
-def test_structural_similarity(g):
-    u = int(np.argmax(g.degrees))
-    for v in g.neighbors(u)[:3]:
-        assert 0.0 < structural_similarity(g, u, int(v)) <= 1.0
 
 
 @pytest.mark.parametrize("overlap_from", [None, 0], ids=["serial", "overlapped"])

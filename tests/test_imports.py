@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,14 @@ ONE_PATH_ONLY = (
     "scipy.spatial",
     "scipy.special",
 )
+
+
+def test_exports_resolve_and_shadow_no_submodule():
+    # a function exported under its module's name would hide the module
+    # from ``spal.<name>`` attribute access (and from monkeypatching)
+    submodules = {info.name for info in pkgutil.iter_modules(spal.__path__)}
+    assert [name for name in spal.__all__ if not hasattr(spal, name)] == []
+    assert sorted(submodules & set(spal.__all__)) == []
 
 
 def run_python(code: str):

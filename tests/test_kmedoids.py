@@ -1,17 +1,14 @@
 from __future__ import annotations
 
-import importlib
 import warnings
 
 import numpy as np
 import pytest
 
+from spal import kmedoids as kmedoids_module
 from spal.kmedoids import kmedoids
 
 from oracles import kmedoids_brute_force, pam_reference
-
-# the package re-exports the function under the module's name
-kmedoids_module = importlib.import_module("spal.kmedoids")
 
 
 def test_k_equals_n_returns_everything():

@@ -1,19 +1,16 @@
 from __future__ import annotations
 
-import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from spal import pagerank as pagerank_module
 from spal.pagerank import PageRankParams, pagerank, pagerank_blocks, pagerank_partition
 from spal.scan import ScanParams, scan_partition
 
 from conftest import heavy_tailed_graph, make_graph, random_graph
 from oracles import block_power_reference, pagerank_dense_solve
-
-# the module, not the function ``spal/__init__.py`` binds over its name
-pagerank_module = importlib.import_module("spal.pagerank")
 
 
 def cycle_graph(n):

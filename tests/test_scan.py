@@ -11,12 +11,11 @@ from spal.scan import (
     ScanParams,
     scan_partition,
     scan_sweep,
-    structural_similarity,
     write_communities_csv,
 )
 
 from conftest import heavy_tailed_graph, make_graph, random_graph
-from oracles import edge_overlap_reference, scan_brute_force
+from oracles import edge_overlap_reference, scan_brute_force, structural_similarity
 
 
 def as_sets(assignment):

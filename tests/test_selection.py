@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib
 import json
 import sys
 import threading
@@ -11,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from spal import selection as selection_module
 from spal.pagerank import PageRankParams, pagerank, pagerank_blocks, pagerank_partition
 from spal.scan import ScanParams, scan_partition
 from spal.selection import (
@@ -28,8 +28,6 @@ from spal.synthetic import sbm_graph
 
 from conftest import heavy_tailed_graph, make_graph, random_graph
 from oracles import block_power_reference, spa_select_reference
-
-selection_module = importlib.import_module("spal.selection")
 
 
 def cycle_edges(n, offset=0):
@@ -131,15 +129,14 @@ class TestSpaSelect:
     def test_two_triangles_budget_two(self, two_triangles):
         res = spa_select(two_triangles, ScanParams(0.5, 1), b=2)
         assert res.selected == [0, 3]
-        assert [r.community for r in res.provenance] == [0, 1]
-        for r in res.provenance:
-            assert r.score == pytest.approx(1 / 3)
+        assert res.communities == [0, 1]
+        assert res.scores == pytest.approx([1 / 3, 1 / 3])
 
     def test_two_triangles_budget_four(self, two_triangles):
         res = spa_select(two_triangles, ScanParams(0.5, 1), b=4)
         # reps {0, 3} first, then global top-up (all tied at 1/6 -> lowest ids)
         assert res.selected == [0, 3, 1, 2]
-        assert [r.community for r in res.provenance] == [0, 1, -1, -1]
+        assert res.communities == [0, 1, -1, -1]
 
     def test_budget_saturation(self, two_triangles):
         res = spa_select(two_triangles, ScanParams(0.5, 1), b=100)
@@ -156,7 +153,7 @@ class TestSpaSelect:
         res = spa_select(star5, ScanParams(0.9, 3), b=2)
         pr = pagerank_select(star5, b=2)
         assert res.selected == pr.selected
-        assert all(r.community == -1 for r in res.provenance)
+        assert res.communities == [-1, -1]
 
     def test_representative_maximality(self):
         rng = np.random.default_rng(30)
@@ -167,7 +164,7 @@ class TestSpaSelect:
             params = ScanParams(0.4, 2)
             res = spa_select(g, params, b=30)
             part = scan_partition(g, params)
-            rep_of = {r.community: r.node for r in res.provenance if r.community >= 0}
+            rep_of = {c: v for v, c in zip(res.selected, res.communities) if c >= 0}
             for cid, community in enumerate(part.communities):
                 scores, _, _ = block_power_reference(g, [community], PageRankParams())
                 rep_idx = np.searchsorted(community, rep_of[cid])
@@ -179,12 +176,11 @@ class TestSpaSelect:
 
     def test_ordered_by_score(self, two_triangles):
         res = spa_select(two_triangles, ScanParams(0.5, 1), b=6)
-        scores = [r.score for r in res.provenance]
-        assert scores == sorted(scores, reverse=True)
+        assert res.scores == sorted(res.scores, reverse=True)
 
 
 class TestSpaMatchesReference:
-    """The array implementation against the per-community record loop."""
+    """The array implementation against the per-community tuple loop."""
 
     @pytest.mark.parametrize("name", SPA_CASES)
     def test_to_dict_identical(self, name):
@@ -482,8 +478,7 @@ class TestPagerankSelect:
 
     def test_full_budget_sorted_by_score(self, star5):
         res = pagerank_select(star5, b=5)
-        scores = [r.score for r in res.provenance]
-        assert scores == sorted(scores, reverse=True)
+        assert res.scores == sorted(res.scores, reverse=True)
         assert sorted(res.selected) == list(range(5))
 
     def test_monotone_nesting(self):
@@ -603,3 +598,35 @@ def test_selection_json_roundtrip(tmp_path, two_triangles):
     assert data["selected"] == res.selected
     assert len(data["provenance"]) == 3
     assert {"node", "community", "score"} <= set(data["provenance"][0])
+
+
+# every strategy's selection file on two_triangles: (node, community, score)
+# per pick; -1 off spa's representatives, None (null) for unscored strategies
+_ENTROPY_INPUT = np.array([[1, 0], [0.5, 0.5], [0.9, 0.1], [0.5, 0.5], [1, 0], [0.2, 0.8]])
+PROVENANCE_CASES = {
+    "spa": (lambda g: spa_select(g, ScanParams(0.5, 1), b=3),
+            [(0, 0, 1 / 3), (3, 1, 1 / 3), (1, -1, 1 / 6)]),
+    "random": (lambda g: random_select(g, 3, seed=0),
+               [(4, -1, None), (5, -1, None), (3, -1, None)]),
+    "pagerank": (lambda g: pagerank_select(g, b=3),
+                 [(0, -1, 1 / 6), (1, -1, 1 / 6), (2, -1, 1 / 6)]),
+    "uncertainty": (lambda g: uncertainty_select(_ENTROPY_INPUT, {1}, 2),
+                    [(3, -1, np.log(2)), (5, -1, -(0.2 * np.log(0.2) + 0.8 * np.log(0.8)))]),
+    "featprop": (lambda g: featprop_select(g, b=2, seed=0), [(1, -1, None), (4, -1, None)]),
+}
+
+
+@pytest.mark.parametrize("name", PROVENANCE_CASES)
+def test_selection_json_provenance(tmp_path, two_triangles, name):
+    select, want = PROVENANCE_CASES[name]
+    path = tmp_path / "sel.json"
+    select(two_triangles).write_json(path)
+    data = json.loads(path.read_text())
+    assert list(data) == ["strategy", "budget", "seed", "selected", "query_time_ms", "provenance"]
+    assert data["strategy"] == name
+    assert data["selected"] == [v for v, _, _ in want]
+    provenance = data["provenance"]
+    assert all(list(entry) == ["node", "community", "score"] for entry in provenance)
+    assert [(e["node"], e["community"]) for e in provenance] == [(v, c) for v, c, _ in want]
+    scores = [e["score"] for e in provenance]
+    assert scores == pytest.approx([s for _, _, s in want], rel=1e-12)
