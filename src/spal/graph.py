@@ -177,19 +177,26 @@ def from_edges(
     )
 
 
-def _parse_edge_file(path: Path) -> tuple[np.ndarray, int]:
+def _loadtxt(path: str | Path, problem: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt(path, **kwargs)``, with any parse failure raised as a
+    GraphLoadError naming the file and ``problem``."""
     try:
         with warnings.catch_warnings():
-            # a file with no data lines reaches from_edges, which rejects the empty graph
+            # a file with no data lines reaches from_edges, which rejects it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # older numpy reads "1.0" or "2.7" as an int through a float with
             # only this warning; as an error it becomes loadtxt's ValueError
             warnings.filterwarnings(
                 "error", r"loadtxt\(\): Parsing an integer via a float", DeprecationWarning
             )
-            edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+            return np.loadtxt(path, **kwargs)
     except ValueError as e:
-        raise GraphLoadError(f"{path}: non-integer node id or uneven line ({e})") from None
+        raise GraphLoadError(f"{path}: {problem} ({e})") from None
+
+
+def _parse_edge_file(path: Path) -> tuple[np.ndarray, int]:
+    edges = _loadtxt(path, "non-integer node id or uneven line",
+                     dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
     if edges.size == 0:
         return edges.reshape(0, 2), 0
     if edges.shape[1] != 2:
@@ -220,14 +227,9 @@ def load_graph(
     is scaled to unit L1 norm (zero rows left untouched).
     """
     edges, self_loops = _parse_edge_file(Path(edge_list_path))
-    try:
-        features = np.loadtxt(features_path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as e:
-        raise GraphLoadError(f"{features_path}: malformed feature row ({e})") from None
-    try:
-        labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
-    except ValueError as e:
-        raise GraphLoadError(f"{labels_path}: malformed label line ({e})") from None
+    features = _loadtxt(features_path, "malformed feature row",
+                        delimiter=",", dtype=np.float64, ndmin=2)
+    labels = _loadtxt(labels_path, "malformed label line", dtype=np.int64, ndmin=1)
     if normalize_features:
         features = features.copy()
         norms = np.abs(features).sum(axis=1, keepdims=True)

@@ -3,20 +3,17 @@ the induced subgraphs of every block of a partition.
 
 Both run one loop: each iteration is one scipy CSR product over the
 blocks still iterating, with scores bit-identical to a per-edge
-``np.bincount`` scatter (see ``_power_loop``). The batched form,
+``np.bincount`` scatter (see ``_power_iterate``). The batched form,
 ``pagerank_partition``, takes the partition as flat labels, returns flat
 arrays, and iterates blocks that repeat another's size and local adjacency
 only once (see ``_repeated_blocks``); ``pagerank_blocks`` is its list form.
-``_power_setup`` allocates every array the loop uses before it starts, so
-``pagerank_loop`` can hand the loop alone to another thread: on large
-graphs ``spa_select`` starts the whole-graph loop on a worker thread before
-SCAN and runs SCAN and the block pass beside it."""
+On large graphs ``spa_select`` runs ``pagerank`` on a worker thread beside
+SCAN and the block pass."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,50 +104,19 @@ def _keep_rows(
     return kept_indptr, new_row[indices[np.repeat(keep, lengths)]], new_row
 
 
-def _power_setup(
+def _power_iterate(
     indptr: np.ndarray, indices: np.ndarray, block_of: np.ndarray, params: PageRankParams
-) -> tuple:
-    """Everything ``_power_loop`` reads or writes, allocated here: the
-    unit-weight CSR M over ``indptr``/``indices`` with its data array, and
-    the per-node arrays.
-
-    Row i of the CSR is the i-th node in ascending id order and
-    ``block_of[i]`` (in 0..k-1) its block; no edge leaves a block. Returns
-    the loop's positional arguments.
-    """
-    total = block_of.size
-    sizes = np.bincount(block_of)
-    m = _unit_csr(indptr, indices, total)
-    deg = np.diff(indptr).astype(np.float64)
-    safe_deg = np.where(deg == 0.0, 1.0, deg)
-    dangling = np.flatnonzero(deg == 0.0)
-    n_block = sizes.astype(np.float64)
-    # With no dangling member the teleport adds d * 0.0 / n == 0.0 to it, so
-    # the precomputed term gives the same bits. It saved 11% of the block pass
-    # timed at _COMPACT_BELOW (no dangling member there), and 7% of the block
-    # pass and 12% of the whole-graph pass on a 3,327-node SBM.
-    teleport = ((1.0 - params.damping) / n_block)[block_of]
-    rows = np.arange(total, dtype=np.int64)  # working row -> position in nodes
-    pr = (1.0 / n_block)[block_of]
-    contrib, change = np.empty(total), np.empty(total)  # per-iteration scratch
-    scores = np.empty(total)
-    return (m, block_of, n_block, safe_deg, dangling, teleport, pr, rows,
-            contrib, change, scores, params)
-
-
-def _power_loop(
-    m, block_of, n_block, safe_deg, dangling, teleport, pr, rows,
-    contrib, change, scores, params: PageRankParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Power iteration on the induced subgraphs of disjoint node blocks,
-    over the arrays ``_power_setup`` made.
+    """Power iteration on the induced subgraphs of disjoint node blocks.
 
-    Each iteration is one product ``M @ (pr / deg)`` with M the unit-weight
-    induced adjacency, restricted to the blocks still iterating: a block
-    freezes once its own L1 step drops below the tolerance, so its result
-    does not depend on the other blocks. Frozen blocks are masked until the
-    live share of the working set falls below ``_COMPACT_BELOW``; then M and
-    the per-row arrays are cut down to the live rows.
+    Row i of the unit-weight CSR M over ``indptr``/``indices`` is the i-th
+    node in ascending id order and ``block_of[i]`` (in 0..k-1) its block;
+    no edge leaves a block. Each iteration is one product ``M @ (pr / deg)``
+    restricted to the blocks still iterating: a block freezes once its own
+    L1 step drops below the tolerance, so its result does not depend on the
+    other blocks. Frozen blocks are masked until the live share of the
+    working set falls below ``_COMPACT_BELOW``; then M and the per-row
+    arrays are cut down to the live rows.
 
     The scores are bit-identical to a per-edge ``np.bincount`` scatter:
     scipy's CSR mat-vec sums each row from 0.0 in ascending column order,
@@ -159,11 +125,26 @@ def _power_loop(
     which adds in ascending id order however many blocks the working set
     holds (``np.sum``'s pairwise order would change the bits).
 
-    Returns (scores aligned with ``nodes``, per-block iteration counts,
+    Returns (scores aligned with the rows, per-block iteration counts,
     per-block converged flags).
     """
-    d = params.damping
+    total = block_of.size
+    n_block = np.bincount(block_of).astype(np.float64)
     k = n_block.size
+    m = _unit_csr(indptr, indices, total)
+    deg = np.diff(indptr).astype(np.float64)
+    safe_deg = np.where(deg == 0.0, 1.0, deg)
+    dangling = np.flatnonzero(deg == 0.0)
+    d = params.damping
+    # With no dangling member the teleport adds d * 0.0 / n == 0.0 to it, so
+    # the precomputed term gives the same bits. It saved 11% of the block pass
+    # timed at _COMPACT_BELOW (no dangling member there), and 7% of the block
+    # pass and 12% of the whole-graph pass on a 3,327-node SBM.
+    teleport = ((1.0 - d) / n_block)[block_of]
+    rows = np.arange(total, dtype=np.int64)  # working row -> input row
+    pr = (1.0 / n_block)[block_of]
+    contrib, change = np.empty(total), np.empty(total)  # per-iteration scratch
+    scores = np.empty(total)
     active = np.ones(k, dtype=bool)
     frozen = None  # rows of settled blocks still in the working set
     converged = np.zeros(k, dtype=bool)
@@ -217,29 +198,11 @@ def pagerank(g: AttributedGraph, params: PageRankParams | None = None) -> ScoreV
     the tolerance. ``pagerank_partition`` is the same loop on the induced
     subgraph of each block of a partition.
     """
-    return pagerank_loop(g, params)()
-
-
-def pagerank_loop(
-    g: AttributedGraph, params: PageRankParams | None = None
-) -> Callable[[], ScoreVector]:
-    """``pagerank`` in two steps: this call allocates every array the
-    iteration uses; the call it returns runs the iteration alone and
-    returns the ``ScoreVector``.
-
-    The returned call may run on another thread. Allocating first keeps
-    the arrays out of that thread's malloc arena, which glibc does not hand
-    back to the system when they are freed.
-    """
     ids = np.arange(g.num_nodes, dtype=np.int64)
-    state = _power_setup(g.csr_offsets, g.csr_targets, np.zeros(ids.size, dtype=np.int64),
-                         params or PageRankParams())
-
-    def run() -> ScoreVector:
-        scores, iterations, converged = _power_loop(*state)
-        return ScoreVector(ids, scores, int(iterations[0]), bool(converged[0]))
-
-    return run
+    scores, iterations, converged = _power_iterate(
+        g.csr_offsets, g.csr_targets, np.zeros(ids.size, dtype=np.int64),
+        params or PageRankParams())
+    return ScoreVector(ids, scores, int(iterations[0]), bool(converged[0]))
 
 
 @dataclass(eq=False)
@@ -271,7 +234,7 @@ def _repeated_blocks(
     takes its score from row ``copy_from[i]``, the one at the same position
     in ascending id order within block ``source[block_of[i]]``.
 
-    ``_power_loop`` keeps the blocks independent, and a block's arithmetic
+    ``_power_iterate`` keeps the blocks independent, and a block's arithmetic
     runs over its members in ascending id order, so its scores, iteration
     count and converged flag depend only on its size and on which of those
     positions are adjacent.
@@ -335,8 +298,8 @@ def pagerank_partition(
         indptr, indices, _ = _keep_rows(indptr, indices, keep)
     block_id = np.cumsum(iterated) - 1
     scores = np.empty(nodes.size)
-    scores[keep], iterations, converged = _power_loop(
-        *_power_setup(indptr, indices, block_id[block_of[keep]], params))
+    scores[keep], iterations, converged = _power_iterate(
+        indptr, indices, block_id[block_of[keep]], params)
     return BlockScores(nodes, scores[copy_from], iterations[block_id[source]],
                        converged[block_id[source]])
 

@@ -3,11 +3,11 @@ method plus the random / PageRank / uncertainty / feature-propagation
 baselines. Each strategy returns an ordered, duplicate-free sample, the
 community and score behind each pick, and the wall-clock query time.
 
-On graphs of ``_OVERLAP_FROM`` CSR entries or more, ``spa_select`` starts
-the whole-graph PageRank loop on one worker thread before SCAN, runs SCAN
-and the block pass on the caller's thread beside it, and joins the worker
-before it returns or raises. The picks are the same to the bit as with
-everything on one thread."""
+On graphs of ``_OVERLAP_FROM`` CSR entries or more, ``spa_select`` runs
+the whole-graph ``pagerank`` on one worker thread from before SCAN, runs
+SCAN and the block pass on the caller's thread beside it, and joins the
+worker before it returns or raises. The picks are the same to the bit as
+with everything on one thread."""
 
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .pagerank import (  # noqa: F401 (pagerank_blocks: see below)
     ScoreVector,
     pagerank,
     pagerank_blocks,
-    pagerank_loop,
     pagerank_partition,
 )
 from .scan import CommunityAssignment, ScanParams, scan_partition
@@ -130,8 +129,8 @@ def _warn_unconverged(
 
 
 # From this many CSR entries (two per edge) up, spa_select runs the
-# whole-graph PageRank loop on a worker thread from before SCAN; below it,
-# SCAN, the block pass and the global loop run one after the other on the
+# whole-graph pagerank on a worker thread from before SCAN; below it,
+# SCAN, the block pass and pagerank run one after the other on the
 # caller's thread. Two threads that both make many small numpy calls hand
 # the GIL back and forth, which costs more than the overlap saves on small
 # graphs. spa_select at b=20, epsilon 0.3, mu 2 on DC-SBM draws with 4
@@ -158,17 +157,15 @@ def _partition_and_pagerank(
     vector.
 
     The global vector depends on neither the partition nor the blocks, so
-    on graphs of ``_OVERLAP_FROM`` CSR entries or more its loop runs on one
-    worker thread from before SCAN starts. The worker is joined before this
-    returns or raises. ``pagerank_loop`` allocates its arrays on this
-    thread, so only the loop runs on the worker."""
+    on graphs of ``_OVERLAP_FROM`` CSR entries or more ``pagerank`` runs on
+    one worker thread from before SCAN starts. The worker is joined before
+    this returns or raises."""
     if g.csr_targets.size < _OVERLAP_FROM:
         assignment = scan_partition(g, scan_params)
         blocks = pagerank_partition(g, assignment.community_of, pr_params)
         return assignment, blocks, pagerank(g, params=pr_params)
-    global_loop = pagerank_loop(g, params=pr_params)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="spal-pagerank") as pool:
-        future = pool.submit(global_loop)
+        future = pool.submit(pagerank, g, pr_params)
         assignment = scan_partition(g, scan_params)
         blocks = pagerank_partition(g, assignment.community_of, pr_params)
     return assignment, blocks, future.result()

@@ -175,6 +175,27 @@ class TestLoadGraph:
         with pytest.raises(GraphLoadError, match="label"):
             load_graph(*paths)
 
+    @pytest.mark.parametrize("feature_text, label_text, message", [
+        ("1\n2\n", "", "0 labels"),
+        ("", "0\n0\n", "no nodes"),
+    ])
+    def test_empty_feature_or_label_file(self, tmp_path, feature_text, label_text, message):
+        paths = write_files(tmp_path, "0 1\n", feature_text, label_text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "no data" warning must not leak
+            with pytest.raises(GraphLoadError, match=message):
+                load_graph(*paths)
+
+    @pytest.mark.parametrize("text", ["0\n1.0\n", "0\n2.7\n"])
+    def test_float_label_rejected_with_warnings_ignored(self, tmp_path, text):
+        # as for edge ids: some numpy versions read a float token as an int
+        # with only a DeprecationWarning, which would truncate 2.7 to 2
+        paths = write_files(tmp_path, "0 1\n", "1\n2\n", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(GraphLoadError, match=re.escape(str(paths[2]))):
+                load_graph(*paths)
+
     def test_deterministic_ingestion(self, tmp_path):
         paths = write_files(
             tmp_path, "2 0\n0 1\n1 2\n", "1,2\n3,4\n5,6\n", "0\n1\n2\n"

@@ -297,15 +297,15 @@ class TestRepeatedBlocks:
 
     @pytest.fixture
     def iterated_blocks(self, monkeypatch):
-        """The block count of every ``_power_loop`` call."""
+        """The block count of every ``_power_iterate`` call."""
         counts = []
-        loop = pagerank_module._power_loop
+        iterate = pagerank_module._power_iterate
 
-        def counting_loop(*state):
-            counts.append(state[2].size)  # n_block
-            return loop(*state)
+        def counting_iterate(indptr, indices, block_of, params):
+            counts.append(int(block_of.max()) + 1)
+            return iterate(indptr, indices, block_of, params)
 
-        monkeypatch.setattr(pagerank_module, "_power_loop", counting_loop)
+        monkeypatch.setattr(pagerank_module, "_power_iterate", counting_iterate)
         return counts
 
     @pytest.mark.parametrize("params", PARAMS)

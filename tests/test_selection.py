@@ -364,13 +364,11 @@ class TestOverlappedGlobalPagerank:
     def test_worker_failure_reaches_the_caller(self, monkeypatch, two_triangles):
         ran_on = []
 
-        def failing_loop(g, params=None):
-            def run():
-                ran_on.append(threading.current_thread())
-                raise FloatingPointError("loop failed")
-            return run
+        def failing_pagerank(g, params=None):
+            ran_on.append(threading.current_thread())
+            raise FloatingPointError("loop failed")
 
-        monkeypatch.setattr(selection_module, "pagerank_loop", failing_loop)
+        monkeypatch.setattr(selection_module, "pagerank", failing_pagerank)
         before = threading.enumerate()
         for b in (4, 2):  # two communities: top-up, and an exact fit
             with pytest.raises(FloatingPointError, match="loop failed"):
@@ -383,16 +381,15 @@ class TestOverlappedGlobalPagerank:
         """A failure in ``stage`` on the caller's thread reaches the caller
         after the worker ran to its end, in the exact-fit and top-up cases."""
         finished = []
-        real_loop = selection_module.pagerank_loop
+        real_pagerank = selection_module.pagerank
 
-        def recording_loop(g, params=None):
-            run = real_loop(g, params)
-            return lambda: finished.append(run())
+        def recording_pagerank(g, params=None):
+            finished.append(real_pagerank(g, params))
 
         def failing_stage(*args, **kwargs):
             raise FloatingPointError(f"{stage} failed")
 
-        monkeypatch.setattr(selection_module, "pagerank_loop", recording_loop)
+        monkeypatch.setattr(selection_module, "pagerank", recording_pagerank)
         monkeypatch.setattr(selection_module, stage, failing_stage)
         before = threading.enumerate()
         for b in (2, 4):  # two communities: exact fit, top-up
