@@ -134,20 +134,24 @@ def _warn_unconverged(
 # caller's thread. Two threads that both make many small numpy calls hand
 # the GIL back and forth, which costs more than the overlap saves on small
 # graphs. spa_select at b=20, epsilon 0.3, mu 2 on DC-SBM draws with 4
-# edges per node (the benchmark's shape), medians of 21-41 alternating
-# calls, one figure per sweep (2 vCPU guest), serial -> overlapped, ms:
-#    80,000 entries   81 -> 86, 86 -> 75, 79 -> 82
-#   120,000          100 -> 97, 93 -> 61, 117 -> 122
-#   160,000          132 -> 141, 144 -> 97, 114 -> 76, 140 -> 147
-#   200,000          225 -> 156, 205 -> 138, 246 -> 153
-#   240,000          202 -> 131, 172 -> 111, 168 -> 105
-#   280,000          247 -> 166, 331 -> 213
-#   320,000          232 -> 143, 311 -> 196
-#   400,000          377 -> 235
-#   800,000          758 -> 482 (the benchmark's graph)
-# Up to 160,000 entries the gain is bimodal; from 200,000 every sweep
-# gained 30-38%.
-_OVERLAP_FROM = 200_000
+# edges per node (the benchmark's shape), medians of 21 alternating calls,
+# one figure per sweep (2 vCPU guest), serial -> overlapped, ms:
+#    20,000 entries   18 -> 22, 24 -> 29
+#    40,000           25 -> 32, 33 -> 36
+#    60,000           58 -> 48, 57 -> 54
+#    80,000           67 -> 57, 45 -> 41, 53 -> 51, 68 -> 56, 69 -> 61
+#   120,000           77 -> 67, 60 -> 56, 71 -> 65, 73 -> 63, 95 -> 71
+#   160,000           86 -> 71, 79 -> 64, 92 -> 73, 118 -> 89, 126 -> 92
+#   200,000          133 -> 110, 128 -> 101, 168 -> 117, 174 -> 122, 150 -> 110
+#   240,000          113 -> 86, 132 -> 99, 152 -> 108
+#   280,000          208 -> 137, 269 -> 155, 230 -> 139
+#   320,000          160 -> 121, 169 -> 127, 154 -> 119
+#   400,000          282 -> 191, 213 -> 160, 323 -> 213
+#   800,000          479 -> 318, 445 -> 307, 559 -> 347 (the benchmark's graph)
+# From 80,000 entries up every sweep gained (4-42%); at 40,000 and below
+# every sweep lost. The previous table, taken while the power iteration
+# ran its rows in id order, found the gain bimodal up to 160,000 entries.
+_OVERLAP_FROM = 80_000
 
 
 def _partition_and_pagerank(

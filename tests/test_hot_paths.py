@@ -1,5 +1,6 @@
 """No per-graph or per-run path of spal calls ``np.unique``, ``np.isin``,
-``np.setdiff1d`` or ``np.union1d``.
+``np.setdiff1d`` or ``np.union1d``, and PageRank decides convergence from
+its fast estimate alone at default settings.
 
 On numpy 2.x ``np.unique`` takes a hash-based path that is an order of
 magnitude slower than the one sort of ``graph.sorted_unique`` (its
@@ -18,14 +19,17 @@ import numpy as np
 import pytest
 
 from spal import gcn
+from spal import pagerank as pagerank_module
 from spal import selection as selection_module
 from spal.cli import main
 from spal.experiment import run_single
 from spal.graph import load_graph
-from spal.pagerank import pagerank_partition
+from spal.pagerank import pagerank, pagerank_partition
 from spal.scan import ScanParams, scan_partition
 from spal.selection import STRATEGY_NAMES, spa_select
 from spal.synthetic import export_graph_files, sbm_graph
+
+from conftest import heavy_tailed_graph
 
 PARAMS = ScanParams(0.28, 2)
 
@@ -97,3 +101,24 @@ def test_train_and_predict(g):
 def test_run_single(g, strategy):
     run = run_single(strategy, g, 8, 0, gcn.TrainConfig(epochs=5), PARAMS)
     assert 0.0 <= run.accuracy <= 1.0
+
+
+def test_pagerank_convergence_needs_no_exact_sum(monkeypatch):
+    """At default settings the working-order estimate of the L1 step settles
+    every decision on a heavy-tailed graph: no id-order ``_exact_steps``
+    call, measured over the whole graph's 42 iterations and the 363 of
+    the block pass. Bounds too loose to pay off would resum every
+    iteration near the tolerance, silently, at the old loop's cost."""
+    calls = []
+    exact_steps = pagerank_module._exact_steps
+
+    def counting(*args):
+        calls.append(args)
+        return exact_steps(*args)
+
+    monkeypatch.setattr(pagerank_module, "_exact_steps", counting)
+    g = heavy_tailed_graph()
+    assert pagerank(g).iterations_used == 42
+    blocks = pagerank_partition(g, scan_partition(g, ScanParams(0.3, 2)).community_of)
+    assert blocks.iterations.max() == 363
+    assert len(calls) == 0

@@ -236,6 +236,134 @@ class TestMatchesLockstepReference:
             assert sv.converged == converged[0]
 
 
+@pytest.fixture
+def exact_sums(monkeypatch):
+    """How many blocks each ``_exact_steps`` call summed, one entry per call."""
+    calls = []
+    exact_steps = pagerank_module._exact_steps
+
+    def counting(change, rows, block_of, blocks):
+        calls.append(int(np.count_nonzero(blocks)))
+        return exact_steps(change, rows, block_of, blocks)
+
+    monkeypatch.setattr(pagerank_module, "_exact_steps", counting)
+    return calls
+
+
+def reference_steps(g, blocks, damping, it):
+    """Each block's L1 step at iteration ``it`` of the lockstep reference,
+    summed in its order, with no block settling on the way (a block whose
+    step is exactly 0 settles, and its step stays 0)."""
+    def scores_after(i):
+        if i == 0:
+            return np.concatenate([np.full(len(b), 1.0 / len(b)) for b in blocks])
+        return block_power_reference(g, blocks, PageRankParams(damping, 5e-324, i))[0]
+
+    block_of = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    return np.bincount(block_of, weights=np.abs(scores_after(it) - scores_after(it - 1)))
+
+
+class TestConvergenceEstimate:
+    """The loop decides convergence from a working-order sum and sums a
+    block in id order only when that estimate cannot decide; the decisions,
+    and so the scores, iteration counts and flags, are the reference's."""
+
+    @pytest.mark.parametrize("terms", [1, 2, 1000, 10**6])
+    @pytest.mark.parametrize("tolerance", [5e-324, 1e-300, 1e-8, 1.0, 10.0, 1.7e308])
+    def test_bounds_bracket_the_tolerance(self, tolerance, terms):
+        below, above = pagerank_module._decisive_bounds(tolerance, terms)
+        if terms == 1:  # one term is summed exactly
+            assert below == tolerance == above
+        else:
+            assert below < tolerance < above
+        r = 2**53 - 2 * (terms - 1)  # (1 - gamma) / (1 + gamma), times 2**53
+        a, b = tolerance.as_integer_ratio()
+        # exactly: below <= tolerance * r / 2**53 < the next float up, and
+        # above >= tolerance * 2**53 / r > the next float down
+        p, q = below.as_integer_ratio()
+        assert p * b * 2**53 <= a * r * q
+        p, q = np.nextafter(below, np.inf).as_integer_ratio()
+        assert p * b * 2**53 > a * r * q
+        if above != np.inf:
+            p, q = above.as_integer_ratio()
+            assert p * b * r >= a * 2**53 * q
+            p, q = np.nextafter(above, 0.0).as_integer_ratio()
+            assert p * b * r < a * 2**53 * q
+
+    def test_subnormal_and_overflowing_bounds(self):
+        assert pagerank_module._decisive_bounds(5e-324, 2) == (0.0, 1e-323)
+        assert pagerank_module._decisive_bounds(1.7976931348623157e308, 2)[1] == np.inf
+
+    @pytest.mark.parametrize("it", [3, 8])
+    @pytest.mark.parametrize("nudge", [0, 1], ids=["equal", "above"])
+    def test_tolerance_at_an_exact_step_whole_graph(self, exact_sums, it, nudge):
+        # the tolerance is the reference's step itself (does not settle) or
+        # the next float up (settles), so the estimate cannot decide
+        g = random_graph(np.random.default_rng(44), 150, 0.05)
+        blocks = [np.arange(g.num_nodes)]
+        step = float(reference_steps(g, blocks, 0.9, it)[0])
+        params = PageRankParams(0.9, np.nextafter(step, np.inf) if nudge else step, 40)
+        scores, iterations, converged = block_power_reference(g, blocks, params)
+        sv = pagerank(g, params=params)
+        assert np.array_equal(sv.scores, scores)
+        assert (sv.iterations_used, sv.converged) == (iterations[0], converged[0])
+        assert exact_sums, "the estimate decided alone"
+        if nudge:
+            assert sv.iterations_used <= it
+
+    @pytest.mark.parametrize("nudge", [0, 1], ids=["equal", "above"])
+    def test_tolerance_at_an_exact_step_partition(self, exact_sums, nudge):
+        rng = np.random.default_rng(45)
+        g = random_graph(rng, 160, 0.06)
+        blocks = [np.sort(b) for b in np.array_split(rng.permutation(160), 4)]
+        steps = reference_steps(g, blocks, 0.95, 6)
+        step = float(steps[np.argmax(steps)])
+        params = PageRankParams(0.95, np.nextafter(step, np.inf) if nudge else step, 60)
+        assert_matches_reference(g, blocks, params)
+        assert exact_sums, "the estimate decided alone"
+
+    def test_rows_of_many_lengths_with_dangling_members(self, exact_sums):
+        """Blocks whose rows have many lengths, with several dangling members
+        in two or more blocks under shuffled ids, so that the rows of equal
+        length, and the dangling rows in particular, interleave across
+        blocks. The bits cannot show whether the length sort is stable: a
+        block's dangling members have no edge in it, so they always hold
+        one score and add to the same mass in any order."""
+        rng = np.random.default_rng(46)
+        n = 300
+        weights = np.arange(1, n + 1) ** -0.8
+        edges = rng.choice(n, size=(900, 2), p=weights / weights.sum())
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        perm = rng.permutation(n + 12)  # 12 more nodes without edges
+        g = make_graph(perm[edges], num_nodes=n + 12)
+        ids = rng.permutation(n + 12)
+        blocks = [np.sort(b) for b in np.array_split(ids, 5)]
+        lengths = [np.diff(pagerank_module._induced_csr(
+            g, b, np.zeros(b.size, dtype=np.int64))[0]) for b in blocks]
+        assert sum((lens == 0).sum() >= 2 for lens in lengths) >= 2
+        assert all(np.unique(lens).size >= 5 for lens in lengths)
+        for params in (PageRankParams(), PageRankParams(0.85, 1e-12, 200),
+                       PageRankParams(0.9, 1e-6, 4)):
+            assert_matches_reference(g, blocks, params)
+        assert not exact_sums
+
+    @pytest.mark.parametrize("tolerance", [5e-324, 10.0, 1.7976931348623157e308])
+    def test_extreme_tolerances(self, tolerance):
+        # 5e-324: no step but an exact 0 is below it, so only one-member
+        # blocks settle; 10.0 and above: every step is below, all settle at 1
+        rng = np.random.default_rng(47)
+        g = random_graph(rng, 120, 0.05)
+        params = PageRankParams(0.95, tolerance, 30)
+        iterations, _ = assert_matches_reference(g, random_blocks(rng, 120), params)
+        assert (iterations == 1).any()
+        scores, iterations, converged = block_power_reference(
+            g, [np.arange(g.num_nodes)], params)
+        sv = pagerank(g, params=params)
+        assert np.array_equal(sv.scores, scores)
+        assert (sv.iterations_used, sv.converged) == (iterations[0], converged[0])
+        assert sv.iterations_used == (30 if tolerance < 1 else 1)
+
+
 def components(shapes):
     """Edges of the shapes laid side by side, and each one's node ids."""
     edges, blocks, offset = [], [], 0
@@ -376,9 +504,11 @@ def test_whole_graph_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The per-edge bincount loop peaked at 7.35 MB here, this loop at 3.2 MB.
-    # Building the whole graph's CSR instead of wrapping it peaks at 5.9 MB,
-    # past the unit weights (8 bytes per CSR entry) plus 16 score vectors.
+    # The per-edge bincount loop peaked at 7.35 MB here, and the CSR loop at
+    # 3.2 MB while it wrapped the graph's arrays. Its working copy with rows
+    # in length order, int32 and built in chunks, peaks at 3.62 MB; an int64
+    # copy of the whole graph's CSR peaked at 5.9 MB, past the unit weights
+    # (8 bytes per CSR entry) plus 16 score vectors.
     assert peak < 8 * g.csr_targets.size + 16 * 8 * n
 
 
