@@ -3,7 +3,7 @@ classification: graph loading, structural communities, damped PageRank,
 budgeted selection strategies, and a GCN evaluation harness."""
 
 from .experiment import EvalReport, run_experiment, run_strategy
-from .gcn import GcnModel, TrainConfig, cross_entropy_loss, gcn_forward, predict, train
+from .gcn import GcnModel, TrainConfig, gcn_forward, predict, train
 from .graph import AttributedGraph, NormalizedAdjacency, load_graph, propagate
 from .metrics import accuracy, macro_f1
 from .pagerank import BlockScores, PageRankParams, ScoreVector, pagerank_partition
@@ -33,7 +33,6 @@ __all__ = [
     "SelectionResult",
     "TrainConfig",
     "accuracy",
-    "cross_entropy_loss",
     "featprop_select",
     "gcn_forward",
     "load_graph",

@@ -29,8 +29,6 @@ from .selection import (
     uncertainty_select,
 )
 
-FEATPROP_STEPS = 2  # mirrors the 2-layer model's receptive field
-
 
 @dataclass
 class RunRecord:
@@ -102,12 +100,12 @@ def run_strategy(
     elif name == "pagerank":
         result = pagerank_select(g, pr_params, b)
     elif name == "featprop":
-        result = featprop_select(g, steps=FEATPROP_STEPS, b=b, seed=seed)
+        result = featprop_select(g, b=b, seed=seed)
     else:
         cfg = replace(train_cfg or gcn.TrainConfig(), seed=seed)
         with Stopwatch() as sw:
             model = gcn.init_model(g.features.shape[1], g.num_classes, cfg)
-            result = uncertainty_select(gcn.gcn_forward(model, g), labeled=set(), b=b)
+            result = uncertainty_select(gcn.gcn_forward(model, g), b)
         result.query_time_ms = sw.ms
     result.seed = seed
     return result

@@ -95,19 +95,6 @@ def gcn_forward(model: GcnModel, g: AttributedGraph) -> np.ndarray:
     return _softmax(op.apply(H1) @ model.W1)
 
 
-def _nll(p_true: np.ndarray) -> float:
-    """Summed negative log-likelihood of the true-class probabilities."""
-    return float(-np.log(np.maximum(p_true, _PROB_FLOOR)).sum())
-
-
-def cross_entropy_loss(
-    probabilities: np.ndarray, labels: np.ndarray, labeled: np.ndarray | set[int]
-) -> float:
-    """Summed negative log-likelihood of the true class over labeled nodes."""
-    idx = node_index(labeled, probabilities.shape[0], "labeled")
-    return _nll(probabilities[idx, np.asarray(labels)[idx]])
-
-
 def _rows_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``A @ B`` with a one-row ``A`` sent through the matrix-matrix kernel, as
     the same row of a many-row product is: numpy gives a single row to a
@@ -142,7 +129,7 @@ def _objective_and_grads(model: GcnModel, field: _Field, weight_decay: float):
     P2 = field.A_idx_R @ np.maximum(Z1, 0.0)
     probs = _softmax(_rows_matmul(P2, model.W1))
     rows = np.arange(probs.shape[0])
-    loss = _nll(probs[rows, field.y])
+    loss = float(-np.log(np.maximum(probs[rows, field.y], _PROB_FLOOR)).sum())
     loss += 0.5 * weight_decay * (np.sum(model.W0**2) + np.sum(model.W1**2))
 
     dZ2 = probs  # softmax minus the one-hot labels, in place
@@ -153,23 +140,15 @@ def _objective_and_grads(model: GcnModel, field: _Field, weight_decay: float):
     return loss, gW0, gW1
 
 
-def training_objective(
+def objective(
     model: GcnModel, g: AttributedGraph, labeled: np.ndarray | set[int],
     weight_decay: float = 0.0,
-) -> float:
-    """The scalar the trainer descends; exposed for finite-difference checks."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(loss, dW0, dW1): the scalar the trainer descends and its analytic
+    gradients, computed as one epoch of ``train`` computes them; exposed for
+    finite-difference checks."""
     field = _receptive_field(g, node_index(labeled, g.num_nodes, "labeled"))
-    return _objective_and_grads(model, field, weight_decay)[0]
-
-
-def gradients(
-    model: GcnModel, g: AttributedGraph, labeled: np.ndarray | set[int],
-    weight_decay: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic (dW0, dW1) of the training objective."""
-    field = _receptive_field(g, node_index(labeled, g.num_nodes, "labeled"))
-    _, gW0, gW1 = _objective_and_grads(model, field, weight_decay)
-    return gW0, gW1
+    return _objective_and_grads(model, field, weight_decay)
 
 
 def _adam_step(w, g, m, v, t, lr):

@@ -83,18 +83,14 @@ def sorted_unique(values) -> np.ndarray:
     return values[first]
 
 
-def node_index(
-    ids, num_nodes: int, what: str, *, allow_empty: bool = False
-) -> np.ndarray:
-    """Sorted unique int64 node ids; rejects non-integer ids, ids outside
-    [0, num_nodes) and, unless ``allow_empty``, an empty set. ``what`` names
-    the set in the error message."""
+def node_index(ids, num_nodes: int, what: str) -> np.ndarray:
+    """Sorted unique int64 node ids; rejects an empty set, non-integer ids
+    and ids outside [0, num_nodes). ``what`` names the set in the error
+    message."""
     if isinstance(ids, (set, frozenset)):
         ids = list(ids)
     ids = np.asarray(ids)
     if ids.size == 0:
-        if allow_empty:
-            return np.empty(0, dtype=np.int64)
         raise ValueError(f"{what} set must be non-empty")
     if not np.issubdtype(ids.dtype, np.integer):
         raise ValueError(f"{what} node ids must be integers, got dtype {ids.dtype}")

@@ -13,6 +13,9 @@ from .graph import check_int
 _ROW_CHUNK = 256
 # Largest float64 distance matrix kmedoids will allocate (2 GiB, n ≈ 16k).
 _MAX_DENSE_BYTES = 2 * 2**30
+# Swap refinement stops after this many swaps, with a RuntimeWarning when a
+# swap would still lower the cost.
+_MAX_SWAPS = 100
 
 
 def _tie_break(values: np.ndarray, priority: np.ndarray) -> int:
@@ -79,25 +82,22 @@ def _best_swap(delta: np.ndarray, priority: np.ndarray) -> tuple[int, int] | Non
     return best_pair
 
 
-def kmedoids(
-    points: np.ndarray, k: int, seed: int = 0, max_swaps: int = 100
-) -> np.ndarray:
+def kmedoids(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Select k medoid row indices minimizing total Euclidean distance.
 
     Greedy build picks the point with the largest cost reduction at each
     step; swap refinement then applies the single best (medoid, candidate)
-    exchange until no exchange improves the cost or ``max_swaps`` is hit,
-    which emits a RuntimeWarning. Ties are broken by a seed-derived priority
-    so reruns are reproducible.
+    exchange until no exchange improves the cost or ``_MAX_SWAPS`` swaps are
+    made, which emits a RuntimeWarning. Ties are broken by a seed-derived
+    priority so reruns are reproducible.
 
     Holds the dense n×n float64 distance matrix and makes one O(n²) pass
     over it per swap; raises ValueError when that matrix would exceed
-    ``_MAX_DENSE_BYTES`` (2 GiB), and before that on a bad k, seed or
-    max_swaps or a point with a non-finite coordinate.
+    ``_MAX_DENSE_BYTES`` (2 GiB), and before that on a bad k or seed or a
+    point with a non-finite coordinate.
     """
     check_int(k, "k", 1)
     check_int(seed, "seed", 0)
-    check_int(max_swaps, "max_swaps", 0)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
@@ -145,7 +145,7 @@ def kmedoids(
     # swap refinement
     medoid_arr = np.array(medoids, dtype=np.int64)
     cols = np.arange(n)
-    for swaps in range(max_swaps + 1):
+    for swaps in range(_MAX_SWAPS + 1):
         dist_to_medoids = D[medoid_arr]  # (k, n)
         order = np.argsort(dist_to_medoids, axis=0)
         d_near = dist_to_medoids[order[0], cols]
@@ -155,9 +155,9 @@ def kmedoids(
         best_pair = _best_swap(delta, priority)
         if best_pair is None:
             break
-        if swaps == max_swaps:
+        if swaps == _MAX_SWAPS:
             warnings.warn(
-                f"k-medoids stopped at max_swaps={max_swaps} while a swap still "
+                f"k-medoids stopped after {_MAX_SWAPS} swaps while a swap still "
                 "lowers the cost; the medoids are not locally optimal",
                 RuntimeWarning, stacklevel=2,
             )

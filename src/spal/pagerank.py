@@ -50,11 +50,15 @@ class ScoreVector:
 
 # Compact the working set once its live share drops below this fraction;
 # until then a settled block stays in the product, masked to hold still.
-# Neither mechanism alone pays: on the 65,834 members in 14,431 SCAN
-# communities of a 1e5-node heavy-tailed graph (2 vCPU, paired runs,
-# medians), the block pass took
-# 0.90x the time at 0.9 as at 0.75 (0.97: 0.89x, 0.99: 0.98x), 1.49x when
-# compacting at every settle and 1.58x when never compacting.
+# Neither mechanism alone pays. The block pass, medians of 15 alternating
+# in-process calls in each of two processes (2 vCPU guest):
+# - the 65,834 members in 14,431 SCAN communities (epsilon 0.3, mu 2) of a
+#   1e5-node heavy-tailed graph: 114 ms at 0.9, 116 ms at 0.97, 130-131 ms
+#   at 0.99, 132 ms at 0.75, 221 ms when compacting at every settle and
+#   140-141 ms when never compacting;
+# - the 3,105 members in 25 communities (epsilon 0.3, mu 2) of
+#   sbm:6,3327,0.003,0.0004,1.0,42: 7.6-8.5 ms from 0.75 to 0.99, 7.8-8.9 ms
+#   when compacting at every settle and 12.3-13.0 ms when never compacting.
 _COMPACT_BELOW = 0.9
 
 
@@ -335,7 +339,7 @@ _REPEAT_UP_TO = 8
 
 def _repeated_blocks(
     indptr: np.ndarray, indices: np.ndarray, block_of: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(source, copy_from): ``source[b]`` is the block whose iteration
     block b repeats to the bit, b itself or the lowest-id block of up to
     ``_REPEAT_UP_TO`` members with the same size and adjacency, and row i
@@ -393,8 +397,10 @@ def pagerank_partition(
                          f"got shape {labels.shape} and dtype {labels.dtype}")
     nodes = np.flatnonzero(labels >= 0)
     block_of = labels[nodes].astype(np.int64)
-    sizes = np.bincount(block_of)
-    if labels.min(initial=0) < -1 or not sizes.all():
+    # with every id 0..k-1 in use, k is at most the member count, so a larger
+    # id is refused before it sizes the bincount
+    if (labels.min(initial=0) < -1 or (labels >= nodes.size).any()
+            or not (sizes := np.bincount(block_of)).all()):
         raise ValueError("community ids must be -1 or 0..k-1 with every id in use")
     if not nodes.size:
         return BlockScores(nodes, np.empty(0), np.empty(0, np.int64), np.empty(0, bool))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import AttributedGraph, check_int, node_index, propagate
+from .graph import AttributedGraph, check_int, propagate
 from .kmedoids import kmedoids
 from .output import write_json
 from .pagerank import (  # noqa: F401 (pagerank_blocks: see below)
@@ -37,6 +37,7 @@ from .scan import CommunityAssignment, ScanParams, scan_partition
 # by name and fails to install when it is gone (tests/test_benchmark_names.py).
 
 STRATEGY_NAMES = ("spa", "random", "pagerank", "uncertainty", "featprop")
+FEATPROP_STEPS = 2  # mirrors the 2-layer model's receptive field
 
 
 def check_strategies(names) -> None:
@@ -149,8 +150,7 @@ def _warn_unconverged(
 #   400,000          282 -> 191, 213 -> 160, 323 -> 213
 #   800,000          479 -> 318, 445 -> 307, 559 -> 347 (the benchmark's graph)
 # From 80,000 entries up every sweep gained (4-42%); at 40,000 and below
-# every sweep lost. The previous table, taken while the power iteration
-# ran its rows in id order, found the gain bimodal up to 160,000 entries.
+# every sweep lost.
 _OVERLAP_FROM = 80_000
 
 
@@ -249,10 +249,10 @@ def pagerank_select(
     return SelectionResult("pagerank", b, None, *chosen, sw.ms)
 
 
-def uncertainty_select(
-    probabilities: np.ndarray, labeled: set[int] | np.ndarray, b: int
-) -> SelectionResult:
-    """Top-b unlabeled nodes by Shannon entropy of the predictive rows."""
+def uncertainty_select(probabilities: np.ndarray, b: int) -> SelectionResult:
+    """Top-b nodes by Shannon entropy of the predictive rows, ties toward
+    the lowest node id. Every node is a candidate: the baseline queries a
+    cold start, where no node is labeled yet."""
     probs = np.asarray(probabilities, dtype=np.float64)
     if probs.ndim != 2:
         raise ValueError("probabilities must be a 2-D matrix")
@@ -262,30 +262,23 @@ def uncertainty_select(
     bad = np.flatnonzero(~rows_ok | (np.abs(probs.sum(axis=1) - 1.0) > 1e-6))
     if bad.size:
         raise ValueError(f"probability row {bad[0]} is not a finite distribution summing to 1")
-    labeled_arr = node_index(labeled, n, "labeled", allow_empty=True)
-    is_unlabeled = np.ones(n, dtype=bool)
-    is_unlabeled[labeled_arr] = False
-    unlabeled = np.flatnonzero(is_unlabeled)
-    if unlabeled.size == 0:
-        raise ValueError("all nodes are already labeled")
     with Stopwatch() as sw:
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
         entropy = -plogp.sum(axis=1)
-        picks = unlabeled[_rank_order(entropy[unlabeled], unlabeled)[: min(b, unlabeled.size)]]
+        picks = _rank_order(entropy, np.arange(n))[: min(b, n)]
         chosen = picks.tolist(), [-1] * picks.size, entropy[picks].tolist()
     return SelectionResult("uncertainty", b, None, *chosen, sw.ms)
 
 
-def featprop_select(
-    g: AttributedGraph, steps: int = 2, b: int = 1, seed: int = 0
-) -> SelectionResult:
-    """k-medoids (k = b) over propagated features; medoids are the sample."""
+def featprop_select(g: AttributedGraph, b: int = 1, seed: int = 0) -> SelectionResult:
+    """k-medoids (k = b) over the features propagated ``FEATPROP_STEPS``
+    times; the medoids are the sample."""
     check_budget("featprop", b, g.num_nodes)
     check_int(seed, "seed", 0)
     import scipy.spatial.distance  # noqa: F401 (kmedoids' first use; kept out of query_time_ms)
 
     with Stopwatch() as sw:
-        Z = propagate(g, g.features, steps)
+        Z = propagate(g, g.features, FEATPROP_STEPS)
         picks = kmedoids(Z, b, seed=seed).tolist()
     return SelectionResult("featprop", b, seed, picks, [-1] * len(picks), None, sw.ms)

@@ -18,7 +18,7 @@ import pytest
 
 import spal
 from spal.cli import main
-from spal.gcn import TrainConfig, gradients, init_model, training_objective
+from spal.gcn import TrainConfig, init_model, objective
 from spal.pagerank import PageRankParams, pagerank
 from spal.scan import ScanParams, scan_partition
 from spal.selection import (
@@ -105,7 +105,7 @@ def test_criterion_3_selection_contracts():
                 "spa": lambda b=b: spa_select(g, scan_params, b=b),
                 "random": lambda b=b: random_select(g, b, seed=5),
                 "pagerank": lambda b=b: pagerank_select(g, b=b),
-                "uncertainty": lambda b=b: uncertainty_select(probs, set(), b),
+                "uncertainty": lambda b=b: uncertainty_select(probs, b),
                 "featprop": lambda b=b: featprop_select(g, b=b, seed=5),
             }
             for name, call in calls.items():
@@ -141,9 +141,9 @@ def test_criterion_4_gcn_gradient_check():
         model = init_model(4, num_classes, TrainConfig(seed=trial))
         labeled = set(range(0, n, 2))
         wd = 5e-4
-        gW0, gW1 = gradients(model, g, labeled, weight_decay=wd)
+        _, gW0, gW1 = objective(model, g, labeled, weight_decay=wd)
         fd0, fd1 = finite_difference_grads(
-            lambda m: training_objective(m, g, labeled, weight_decay=wd),
+            lambda m: objective(m, g, labeled, weight_decay=wd)[0],
             model, step=1e-5,
         )
         for analytic, numeric in ((gW0, fd0), (gW1, fd1)):

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from spal.gcn import (
+    GcnModel,
     TrainConfig,
     TrainingDivergedError,
-    cross_entropy_loss,
     gcn_forward,
-    gradients,
     init_model,
+    objective,
     predict,
     train,
-    training_objective,
 )
 from spal.synthetic import sbm_graph
 
@@ -38,9 +37,9 @@ def closed_neighbourhood(g, labeled):
 
 
 def assert_matches_finite_differences(model, g, labeled, wd):
-    gW0, gW1 = gradients(model, g, labeled, weight_decay=wd)
+    _, gW0, gW1 = objective(model, g, labeled, weight_decay=wd)
     fd0, fd1 = finite_difference_grads(
-        lambda m: training_objective(m, g, labeled, weight_decay=wd), model
+        lambda m: objective(m, g, labeled, weight_decay=wd)[0], model
     )
     for analytic, numeric in ((gW0, fd0), (gW1, fd1)):
         rel = np.abs(analytic - numeric) / np.maximum(
@@ -88,33 +87,44 @@ class TestForward:
 
 
 class TestCrossEntropy:
+    """The loss ``objective`` returns is the summed cross-entropy over the
+    labeled nodes. Both weight matrices act on node-constant inputs here: a
+    regular graph with unit features gives every node the logits of W1's
+    first row, and an isolated node's Â row is its unit self-loop."""
+
     def test_perfect_predictions(self):
-        probs = np.eye(3)
-        labels = np.array([0, 1, 2])
-        assert cross_entropy_loss(probs, labels, {0, 1, 2}) <= 3 * 1.1e-12
+        g = make_graph([(0, 1), (1, 2), (0, 2)], features=np.ones((3, 1)))
+        model = GcnModel(np.ones((1, 1)), np.array([[1000.0, 0.0]]))
+        assert objective(model, g, {0, 1, 2})[0] <= 3 * 1.1e-12
 
     def test_uniform_predictions(self):
-        probs = np.full((4, 5), 0.2)
-        labels = np.zeros(4, dtype=int)
-        loss = cross_entropy_loss(probs, labels, {0, 1, 2})
+        g = make_graph([(0, 1), (1, 2)], num_nodes=4, features=np.eye(4))
+        model = GcnModel(np.ones((4, 3)), np.zeros((3, 5)))
+        loss = objective(model, g, {0, 1, 2})[0]
         assert loss == pytest.approx(3 * np.log(5))
 
     def test_hand_computed(self):
-        probs = np.array([[0.8, 0.2], [0.5, 0.5]])
-        labels = np.array([0, 0])
-        loss = cross_entropy_loss(probs, labels, {0, 1})
+        # node 0's logits (log 4, 0) give (0.8, 0.2); node 1's (0, 0) give (0.5, 0.5)
+        g = make_graph([(2, 3)], features=[[1.0], [0.0], [0.0], [0.0]])
+        model = GcnModel(np.ones((1, 1)), np.array([[np.log(4.0), 0.0]]))
+        loss = objective(model, g, {0, 1})[0]
         assert loss == pytest.approx(-np.log(0.8) - np.log(0.5))
         assert loss == pytest.approx(0.9163, abs=1e-4)
 
     def test_empty_labeled_error(self):
+        g = make_graph([(0, 1), (1, 2), (0, 2)], features=np.ones((3, 1)))
         with pytest.raises(ValueError):
-            cross_entropy_loss(np.full((2, 2), 0.5), np.zeros(2, dtype=int), set())
+            objective(GcnModel(np.ones((1, 1)), np.ones((1, 2))), g, set())
 
     def test_clamp_guards_zero_probability(self):
-        probs = np.array([[1.0, 0.0]])
-        loss = cross_entropy_loss(probs, np.array([1]), {0})
-        assert np.isfinite(loss)
-        assert loss == pytest.approx(-np.log(1e-12))
+        # the true class 1 gets probability exp(-1000) == 0.0 at every node
+        g = make_graph([(0, 1), (1, 2), (0, 2)], features=np.ones((3, 1)),
+                       labels=np.array([1, 1, 0]))
+        model = GcnModel(np.ones((1, 1)), np.array([[1000.0, 0.0]]))
+        assert gcn_forward(model, g)[0, 1] == 0.0
+        loss, gW0, gW1 = objective(model, g, {0, 1})
+        assert loss == pytest.approx(-2 * np.log(1e-12))
+        assert np.isfinite(gW0).all() and np.isfinite(gW1).all()
 
 
 class TestGradients:
@@ -149,8 +159,7 @@ class TestGradients:
 
 
 class TestLabeledIds:
-    """``train``, ``gradients``, ``training_objective`` and
-    ``cross_entropy_loss`` read the labeled ids the same way."""
+    """``train`` and ``objective`` read the labeled ids the same way."""
 
     @pytest.fixture
     def setting(self):
@@ -159,24 +168,15 @@ class TestLabeledIds:
         return g, init_model(3, 3, TrainConfig(hidden_units=4, seed=0))
 
     def entry_points(self, g, model):
-        probs = gcn_forward(model, g)
         return [
             lambda ids: train(g, ids, TrainConfig(epochs=1)),
-            lambda ids: gradients(model, g, ids),
-            lambda ids: training_objective(model, g, ids),
-            lambda ids: cross_entropy_loss(probs, g.labels, ids),
+            lambda ids: objective(model, g, ids),
         ]
 
     def test_duplicate_ids_count_once(self, setting):
         g, model = setting
         assert_matches_finite_differences(model, g, [1, 5, 5, 9], 0.0)
-        assert training_objective(model, g, [1, 5, 5, 9]) == training_objective(
-            model, g, [1, 5, 9]
-        )
-        probs = gcn_forward(model, g)
-        assert cross_entropy_loss(probs, g.labels, [5, 1, 5]) == cross_entropy_loss(
-            probs, g.labels, {1, 5}
-        )
+        assert objective(model, g, [1, 5, 5, 9])[0] == objective(model, g, [1, 5, 9])[0]
 
     @pytest.mark.parametrize("ids", [[-1], [3, -1], [100], [0, 30]])
     def test_out_of_range_ids_rejected(self, setting, ids):
@@ -201,8 +201,8 @@ class TestTrain:
         g = sbm_graph(2, 60, 0.3, 0.02, feature_snr=2.0, seed=5)
         labeled = np.arange(0, 60, 6)
         cfg = TrainConfig(epochs=1, seed=0)
-        before = training_objective(init_model(2, 2, cfg), g, labeled, cfg.weight_decay)
-        after = training_objective(train(g, labeled, cfg), g, labeled, cfg.weight_decay)
+        before = objective(init_model(2, 2, cfg), g, labeled, cfg.weight_decay)[0]
+        after = objective(train(g, labeled, cfg), g, labeled, cfg.weight_decay)[0]
         assert after < before
 
     def test_deterministic_weights(self):

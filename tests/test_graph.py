@@ -320,6 +320,10 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(triangle, np.ones((3, 1)), -1)
 
+    def test_non_integer_steps(self, triangle):
+        with pytest.raises(ValueError, match="steps must be an integer, got 2.5"):
+            propagate(triangle, np.ones((3, 1)), 2.5)
+
     def test_symmetric_operator(self):
         rng = np.random.default_rng(5)
         g = random_graph(rng, 8, 0.4)

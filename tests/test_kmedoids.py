@@ -64,21 +64,19 @@ def test_invalid_k():
     ({"k": True}, "k must be an integer"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer"),
-    ({"max_swaps": -3}, "max_swaps must be >= 0, got -3"),
-    ({"max_swaps": 2.0}, "max_swaps must be an integer"),
 ])
 def test_rejects_bad_arguments_where_they_enter(kwargs, message):
-    # k=2.5 used to fail inside _swap_deltas with a TypeError, and
-    # max_swaps=-3 skipped refinement without a warning
+    # k=2.5 used to fail inside _swap_deltas with a TypeError
     pts = np.random.default_rng(6).standard_normal((8, 2))
     with pytest.raises(ValueError, match=message):
         kmedoids(pts, **{"k": 3, **kwargs})
 
 
-def test_max_swaps_zero_keeps_the_greedy_build():
+def test_max_swaps_zero_keeps_the_greedy_build(monkeypatch):
     points = np.random.default_rng(5).standard_normal((40, 2))
-    with pytest.warns(RuntimeWarning, match="max_swaps=0"):
-        got = kmedoids(points, 6, seed=0, max_swaps=0)
+    monkeypatch.setattr(kmedoids_module, "_MAX_SWAPS", 0)
+    with pytest.warns(RuntimeWarning, match="stopped after 0 swaps"):
+        got = kmedoids(points, 6, seed=0)
     assert got.tolist() == pam_reference(points, 6, seed=0, max_swaps=0).tolist()
 
 
@@ -143,13 +141,14 @@ def test_no_single_swap_improves():
                 assert D[:, swapped].min(axis=1).sum() >= cost - 1e-9 * cost
 
 
-def test_swap_cap_warns_only_when_an_improving_swap_remains():
+def test_swap_cap_warns_only_when_an_improving_swap_remains(monkeypatch):
     points = np.random.default_rng(5).standard_normal((40, 2))
-    with pytest.warns(RuntimeWarning, match="max_swaps=1"):
-        capped = kmedoids(points, 6, seed=0, max_swaps=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         converged = kmedoids(points, 6, seed=0)
+    monkeypatch.setattr(kmedoids_module, "_MAX_SWAPS", 1)
+    with pytest.warns(RuntimeWarning, match="stopped after 1 swaps"):
+        capped = kmedoids(points, 6, seed=0)
     assert capped.tolist() != converged.tolist()
     assert capped.tolist() == pam_reference(points, 6, seed=0, max_swaps=1).tolist()
 

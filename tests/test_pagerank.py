@@ -8,6 +8,7 @@ import pytest
 from spal import pagerank as pagerank_module
 from spal.pagerank import PageRankParams, pagerank, pagerank_blocks, pagerank_partition
 from spal.scan import ScanParams, scan_partition
+from spal.synthetic import sbm_graph
 
 from conftest import heavy_tailed_graph, make_graph, random_graph
 from oracles import block_power_reference, pagerank_dense_solve
@@ -489,6 +490,23 @@ class TestRepeatedBlocks:
     def test_partition_validation(self, community_of, match):
         with pytest.raises(ValueError, match=match):
             pagerank_partition(cycle_graph(6), community_of)
+
+    @pytest.mark.parametrize("bad_id", [20, 5_000_000])
+    def test_out_of_range_id_rejected_before_counting(self, bad_id):
+        # every id 0..k-1 in use means k <= the 20 members; 5e6 used to size
+        # a 40 MB bincount before the check, and 1e11 asked for 800 GB
+        g = sbm_graph(2, 20, 0.5, 0.1, 1.0, 0)
+        assert g.num_nodes == 20
+        community_of = np.zeros(g.num_nodes, dtype=np.int64)
+        community_of[7] = bad_id
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="every id in use"):
+                pagerank_partition(g, community_of)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_partition_with_no_block(self):
         flat = pagerank_partition(cycle_graph(6), np.full(6, -1))

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from spal import selection as selection_module
+from spal.graph import propagate
 from spal.pagerank import PageRankParams, pagerank, pagerank_blocks, pagerank_partition
 from spal.scan import ScanParams, scan_partition
 from spal.selection import (
+    FEATPROP_STEPS,
     STRATEGY_NAMES,
     _rank_order,
     check_budget,
@@ -113,7 +115,7 @@ class TestCheckBudget:
             lambda b: random_select(two_triangles, b, 0),
             lambda b: pagerank_select(two_triangles, b=b),
             lambda b: featprop_select(two_triangles, b=b),
-            lambda b: uncertainty_select(np.full((6, 2), 0.5), [], b),
+            lambda b: uncertainty_select(np.full((6, 2), 0.5), b),
         ]
         for call in calls:
             for bad in (2.5, True):
@@ -433,10 +435,6 @@ class TestSeedAndStepsChecks:
         with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
             random_select(two_triangles, 2, 1.5)
 
-    def test_featprop_select_rejects_float_steps(self, two_triangles):
-        with pytest.raises(ValueError, match="steps must be an integer, got 2.5"):
-            featprop_select(two_triangles, 2.5, b=2)
-
     def test_numpy_integer_seeds_accepted(self, two_triangles):
         assert random_select(two_triangles, 2, np.int64(7)).selected == random_select(
             two_triangles, 2, 7).selected
@@ -491,43 +489,28 @@ class TestPagerankSelect:
 class TestUncertaintySelect:
     def test_uniform_row_ranks_first(self):
         probs = np.array([[0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1], [1.0, 0, 0, 0]])
-        res = uncertainty_select(probs, labeled=set(), b=3)
+        res = uncertainty_select(probs, b=3)
         assert res.selected == [0, 1, 2]  # uniform first, one-hot last
 
     def test_binary_entropy_ordering(self):
         p = np.array([0.5, 0.6, 0.7, 0.8, 0.9])
         probs = np.stack([p, 1 - p], axis=1)
-        res = uncertainty_select(probs, labeled=set(), b=2)
+        res = uncertainty_select(probs, b=2)
         assert sorted(res.selected) == [0, 1]
-
-    def test_excludes_labeled(self):
-        probs = np.full((4, 2), 0.5)
-        res = uncertainty_select(probs, labeled={0, 2}, b=4)
-        assert sorted(res.selected) == [1, 3]
-
-    @pytest.mark.parametrize("labeled", [{-1}, {7}, {0.5}])
-    def test_bad_labeled_ids_rejected(self, labeled):
-        with pytest.raises(ValueError, match="labeled node id"):
-            uncertainty_select(np.full((4, 2), 0.5), labeled=labeled, b=2)
-
-    def test_all_labeled_error(self):
-        probs = np.full((2, 2), 0.5)
-        with pytest.raises(ValueError, match="labeled"):
-            uncertainty_select(probs, labeled={0, 1}, b=1)
 
     def test_malformed_rows_error(self):
         with pytest.raises(ValueError, match="distribution"):
-            uncertainty_select(np.array([[0.5, 0.9]]), labeled=set(), b=1)
+            uncertainty_select(np.array([[0.5, 0.9]]), b=1)
 
     @pytest.mark.parametrize("row", [[np.nan, np.nan], [0.5, np.nan], [np.inf, 0.0]])
     def test_non_finite_row_rejected(self, row):
         probs = np.array([[0.5, 0.5], row, [0.9, 0.1]])
         with pytest.raises(ValueError, match="probability row 1 is not a finite distribution"):
-            uncertainty_select(probs, labeled=set(), b=3)
+            uncertainty_select(probs, b=3)
 
     def test_tie_break_low_id(self):
         probs = np.full((5, 3), 1 / 3)
-        res = uncertainty_select(probs, labeled=set(), b=2)
+        res = uncertainty_select(probs, b=2)
         assert res.selected == [0, 1]
 
 
@@ -543,17 +526,19 @@ class TestFeatpropSelect:
         features = np.zeros((10, 2))
         features[5:] = [50.0, -50.0]
         g = make_graph(edges, num_nodes=10, features=features)
-        res = featprop_select(g, steps=2, b=2, seed=0)
+        res = featprop_select(g, b=2, seed=0)
         assert sorted(v // 5 for v in res.selected) == [0, 1]
 
     def test_steps_zero_uses_raw_features(self):
+        # the medoids of the features propagated FEATPROP_STEPS times
         rng = np.random.default_rng(32)
         features = rng.standard_normal((8, 3))
         g = make_graph([(i, (i + 1) % 8) for i in range(8)], features=features)
         from spal.kmedoids import kmedoids
 
-        res = featprop_select(g, steps=0, b=3, seed=5)
-        assert res.selected == kmedoids(features, 3, seed=5).tolist()
+        res = featprop_select(g, b=3, seed=5)
+        Z = propagate(g, features, FEATPROP_STEPS)
+        assert res.selected == kmedoids(Z, 3, seed=5).tolist()
 
     def test_budget_exceeding_nodes_errors(self, triangle):
         with pytest.raises(ValueError, match="medoid"):
@@ -573,7 +558,7 @@ class TestContracts:
             "spa": lambda: spa_select(g, ScanParams(0.4, 1), b=budget),
             "random": lambda: random_select(g, budget, seed=4),
             "pagerank": lambda: pagerank_select(g, b=budget),
-            "uncertainty": lambda: uncertainty_select(probs, set(), budget),
+            "uncertainty": lambda: uncertainty_select(probs, budget),
             "featprop": lambda: featprop_select(g, b=budget, seed=4),
         }
         for name, call in runs.items():
@@ -607,8 +592,9 @@ PROVENANCE_CASES = {
                [(4, -1, None), (5, -1, None), (3, -1, None)]),
     "pagerank": (lambda g: pagerank_select(g, b=3),
                  [(0, -1, 1 / 6), (1, -1, 1 / 6), (2, -1, 1 / 6)]),
-    "uncertainty": (lambda g: uncertainty_select(_ENTROPY_INPUT, {1}, 2),
-                    [(3, -1, np.log(2)), (5, -1, -(0.2 * np.log(0.2) + 0.8 * np.log(0.8)))]),
+    "uncertainty": (lambda g: uncertainty_select(_ENTROPY_INPUT, 3),
+                    [(1, -1, np.log(2)), (3, -1, np.log(2)),
+                     (5, -1, -(0.2 * np.log(0.2) + 0.8 * np.log(0.8)))]),
     "featprop": (lambda g: featprop_select(g, b=2, seed=0), [(1, -1, None), (4, -1, None)]),
 }
 
