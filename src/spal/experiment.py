@@ -19,7 +19,6 @@ from .pagerank import PageRankParams
 from .scan import ScanParams
 from .selection import (
     SelectionResult,
-    Stopwatch,
     check_budget,
     check_strategies,
     featprop_select,
@@ -87,10 +86,8 @@ def run_strategy(
     """Dispatch a strategy by name with uniform inputs.
 
     The run seed is recorded on every result (deterministic strategies
-    ignore it for selection). The uncertainty baseline scores nodes with a
-    freshly initialized (untrained) model seeded per run, matching a
-    cold-start querying round where no labels exist yet; its query time
-    covers the model init, the forward pass and the entropy ranking.
+    ignore it for selection); ``train_cfg`` sets the width of uncertainty's
+    cold-start model.
     """
     check_strategies([name])
     if name == "spa":
@@ -102,11 +99,7 @@ def run_strategy(
     elif name == "featprop":
         result = featprop_select(g, b=b, seed=seed)
     else:
-        cfg = replace(train_cfg or gcn.TrainConfig(), seed=seed)
-        with Stopwatch() as sw:
-            model = gcn.init_model(g.features.shape[1], g.num_classes, cfg)
-            result = uncertainty_select(gcn.gcn_forward(model, g), b)
-        result.query_time_ms = sw.ms
+        result = uncertainty_select(g, b, seed, train_cfg)
     result.seed = seed
     return result
 

@@ -85,14 +85,19 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def gcn_forward(model: GcnModel, g: AttributedGraph) -> np.ndarray:
-    """Class-probability matrix (num_nodes x C); every row sums to 1."""
+    """Class-probability matrix (num_nodes x C); every row sums to 1. A row
+    that is not finite, as from overflowing logits, raises a ValueError."""
     if model.W0.shape[0] != g.features.shape[1]:
         raise ValueError(
             f"model expects {model.W0.shape[0]} features, graph has {g.features.shape[1]}"
         )
     op = NormalizedAdjacency(g)
     H1 = np.maximum(op.apply(g.features) @ model.W0, 0.0)
-    return _softmax(op.apply(H1) @ model.W1)
+    probs = _softmax(op.apply(H1) @ model.W1)
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"forward pass output row {bad[0]} is not finite")
+    return probs
 
 
 def _rows_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -88,8 +88,9 @@ def kmedoids(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     Greedy build picks the point with the largest cost reduction at each
     step; swap refinement then applies the single best (medoid, candidate)
     exchange until no exchange improves the cost or ``_MAX_SWAPS`` swaps are
-    made, which emits a RuntimeWarning. Ties are broken by a seed-derived
-    priority so reruns are reproducible.
+    made, which emits a RuntimeWarning. A seed-derived priority breaks only
+    exact float ties (across medoids, deltas within 1e-12), so cost changes
+    equal in real arithmetic but rounded apart go by the rounding.
 
     Holds the dense n×n float64 distance matrix and makes one O(n²) pass
     over it per swap; raises ValueError when that matrix would exceed

@@ -36,6 +36,8 @@ class PageRankParams:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         check_int(self.max_iterations, "max_iterations", 1)
+        if self.max_iterations > np.iinfo(np.int64).max:  # iteration counts are int64
+            raise ValueError(f"max_iterations must be <= 2**63 - 1, got {self.max_iterations}")
 
 
 @dataclass(eq=False)

@@ -14,11 +14,12 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import gcn
 from .graph import AttributedGraph, check_int, propagate
 from .kmedoids import kmedoids
 from .output import write_json
@@ -249,26 +250,23 @@ def pagerank_select(
     return SelectionResult("pagerank", b, None, *chosen, sw.ms)
 
 
-def uncertainty_select(probabilities: np.ndarray, b: int) -> SelectionResult:
-    """Top-b nodes by Shannon entropy of the predictive rows, ties toward
-    the lowest node id. Every node is a candidate: the baseline queries a
-    cold start, where no node is labeled yet."""
-    probs = np.asarray(probabilities, dtype=np.float64)
-    if probs.ndim != 2:
-        raise ValueError("probabilities must be a 2-D matrix")
-    n = probs.shape[0]
-    check_budget("uncertainty", b, n)
-    rows_ok = np.isfinite(probs).all(axis=1) & (probs >= 0).all(axis=1)
-    bad = np.flatnonzero(~rows_ok | (np.abs(probs.sum(axis=1) - 1.0) > 1e-6))
-    if bad.size:
-        raise ValueError(f"probability row {bad[0]} is not a finite distribution summing to 1")
+def uncertainty_select(
+    g: AttributedGraph, b: int, seed: int = 0, cfg: gcn.TrainConfig | None = None
+) -> SelectionResult:
+    """Top-b nodes by Shannon entropy under an untrained GCN of ``cfg``'s
+    width seeded from ``seed`` (a cold start: every node is a candidate), ties
+    toward the lowest node id; timed from the model init to the ranking."""
+    check_budget("uncertainty", b, g.num_nodes)
+    cfg = replace(cfg or gcn.TrainConfig(), seed=seed)
     with Stopwatch() as sw:
+        model = gcn.init_model(g.features.shape[1], g.num_classes, cfg)
+        probs = gcn.gcn_forward(model, g)
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
         entropy = -plogp.sum(axis=1)
-        picks = _rank_order(entropy, np.arange(n))[: min(b, n)]
+        picks = _rank_order(entropy, np.arange(g.num_nodes))[: min(b, g.num_nodes)]
         chosen = picks.tolist(), [-1] * picks.size, entropy[picks].tolist()
-    return SelectionResult("uncertainty", b, None, *chosen, sw.ms)
+    return SelectionResult("uncertainty", b, seed, *chosen, sw.ms)
 
 
 def featprop_select(g: AttributedGraph, b: int = 1, seed: int = 0) -> SelectionResult:

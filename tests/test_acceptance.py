@@ -99,13 +99,12 @@ def test_criterion_3_selection_contracts():
     scan_params = ScanParams(0.4, 2)
     for g in fixtures:
         n = g.num_nodes
-        probs = rng.dirichlet(np.ones(3), size=n)
         for b in range(1, n + 1):
             calls = {
                 "spa": lambda b=b: spa_select(g, scan_params, b=b),
                 "random": lambda b=b: random_select(g, b, seed=5),
                 "pagerank": lambda b=b: pagerank_select(g, b=b),
-                "uncertainty": lambda b=b: uncertainty_select(probs, b),
+                "uncertainty": lambda b=b: uncertainty_select(g, b, 5),
                 "featprop": lambda b=b: featprop_select(g, b=b, seed=5),
             }
             for name, call in calls.items():

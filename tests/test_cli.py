@@ -322,6 +322,20 @@ class TestBenchmark:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_repetitions_past_ssize_t(self, tmp_path, capsys, monkeypatch):
+        # the repetition seeds 0..R-1 are valid by construction, so the plan
+        # check does not list them
+        def stop(*args, **kwargs):
+            raise ValueError("stop")
+
+        monkeypatch.setattr(spal.cli, "run_strategy", stop)
+        rc = main([
+            "benchmark", "--synthetic", TWO_TRIANGLES, "--strategy", "random",
+            "--budgets", "2", "--repetitions", "1e19", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: stop\n"
+
     def test_single_repetition(self, tmp_path, graph_files):
         rc = main([
             "benchmark", *graph_files, "--strategy", "pagerank",
@@ -535,6 +549,8 @@ class TestFlags:
         (["select", "--strategy", "random,random", "--budgets", "3"],
          "error: repeated strategy 'random'"),
         (["select", "--strategy", "random", "--budgets", "3,3"], "error: repeated budget 3"),
+        (["select", "--strategy", "pagerank", "--budgets", "3", "--max-iterations", "1e19"],
+         "error: max_iterations must be <= 2**63 - 1"),
     ])
     def test_bad_value_names_the_flag(self, tmp_path, capsys, argv, message):
         rc = main([*argv, "--synthetic", TWO_TRIANGLES, "--out", str(tmp_path)])

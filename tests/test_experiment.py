@@ -52,6 +52,13 @@ class TestRunStrategy:
         b = run_strategy("uncertainty", small_sbm, 5, seed=2, train_cfg=FAST)
         assert a.selected == b.selected
 
+    @pytest.mark.parametrize("b, seed", [(1, 0), (5, 2), (12, 3)])
+    def test_uncertainty_dispatch_is_the_library_call(self, small_sbm, b, seed):
+        direct = spal.selection.uncertainty_select(small_sbm, b, seed)
+        dispatched = run_strategy("uncertainty", small_sbm, b, seed)
+        assert _content(direct) == _content(dispatched)
+        assert direct.seed == seed
+
 
 def test_dispatch_goes_through_module_attributes(small_sbm, monkeypatch):
     """Instrumentation that replaces these module attributes sees every call:

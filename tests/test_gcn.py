@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from spal.experiment import run_strategy
 from spal.gcn import (
     GcnModel,
     TrainConfig,
@@ -13,6 +14,7 @@ from spal.gcn import (
     predict,
     train,
 )
+from spal.graph import from_edges
 from spal.synthetic import sbm_graph
 
 from conftest import make_graph, random_graph
@@ -84,6 +86,18 @@ class TestForward:
         model = init_model(99, 2, TrainConfig(seed=0))
         with pytest.raises(ValueError):
             gcn_forward(model, triangle)
+
+    def test_non_finite_row_rejected(self):
+        # features near the float64 limit overflow the forward pass, so the
+        # logits are not finite; numpy's own overflow warnings are expected
+        features = np.full((4, 3), 1.7e308) * [1, -1, 1]
+        g = from_edges([[0, 1], [1, 2], [2, 3], [0, 2]], features, [0, 1, 2, 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for seed in range(4):
+                with pytest.raises(ValueError, match="row 0 is not finite"):
+                    run_strategy("uncertainty", g, 2, seed)
+            with pytest.raises(ValueError, match="row 0 is not finite"):
+                predict(init_model(3, 3, TrainConfig()), g)
 
 
 class TestCrossEntropy:

@@ -45,6 +45,13 @@ class TestParams:
                 PageRankParams(max_iterations=bad)
         assert PageRankParams(max_iterations=np.int64(7)).max_iterations == 7
 
+    def test_max_iterations_fits_int64(self, star5):
+        # both passes count iterations in int64
+        with pytest.raises(ValueError, match=r"max_iterations must be <= 2\*\*63 - 1, got 9"):
+            PageRankParams(max_iterations=2**63)
+        params = PageRankParams(max_iterations=2**63 - 1)
+        assert pagerank(star5, params=params).converged
+
 
 class TestPageRank:
     def test_cycle_uniform(self):
