@@ -507,6 +507,15 @@ class TestUncertaintySelect:
         res = select_on_rows(monkeypatch, probs, b=2)
         assert sorted(res.selected) == [0, 1]
 
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [0.5, np.nan], [np.inf, 0.0]])
+    def test_non_finite_row_rejected(self, monkeypatch, row):
+        # the hand-built rows stand in for the softmax output, so the forward
+        # pass's own finiteness check is the one that refuses them
+        probs = np.array([[0.5, 0.5], row, [0.9, 0.1]])
+        monkeypatch.setattr(gcn, "_softmax", lambda logits: probs)
+        with pytest.raises(ValueError, match="row 1 is not finite"):
+            uncertainty_select(make_graph(cycle_edges(3)), b=3)
+
     def test_tie_break_low_id(self, monkeypatch):
         probs = np.full((5, 3), 1 / 3)
         res = select_on_rows(monkeypatch, probs, b=2)
