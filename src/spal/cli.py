@@ -25,7 +25,6 @@ from .experiment import (
     iter_runs,
     run_strategy,
     write_aggregates_csv,
-    write_runs_csv,
 )
 from .gcn import TrainConfig
 from .graph import AttributedGraph, GraphLoadError, load_graph
@@ -157,6 +156,24 @@ class Settings:
         return load_graph(self.raw["edges"], self.raw["features"], self.raw["labels"])
 
 
+def _stream_csv(path: Path, cls, records: Iterator, noun: str) -> list:
+    """Write each record to ``path`` as it is drawn, and return them all. If
+    drawing one raises, the rows before it stay on disk and a CliError says
+    how many there are and where."""
+    done: list = []
+
+    def collect() -> Iterator:
+        for record in records:
+            done.append(record)
+            yield record
+
+    try:
+        write_records_csv(path, cls, collect())
+    except Exception as e:
+        raise CliError(f"aborted after {len(done)} {noun} (partial results in {path}): {e}") from e
+    return done
+
+
 def _resolve_settings(args: argparse.Namespace) -> Settings:
     """Each of the subcommand's flags from the command line, else the config
     file, else the CLI default. Config keys of other subcommands are ignored."""
@@ -210,19 +227,7 @@ def cmd_evaluate(settings: Settings) -> int:
     )
     out_dir = settings.out_dir()
     runs_path = out_dir / "runs.csv"
-    runs: list[RunRecord] = []
-
-    def collect() -> Iterator[RunRecord]:
-        for record in records:
-            runs.append(record)
-            yield record
-
-    try:
-        write_runs_csv(collect(), runs_path)
-    except Exception as e:
-        print(f"aborted after {len(runs)} runs (partial results in {runs_path}): {e}",
-              file=sys.stderr)
-        return 1
+    runs = _stream_csv(runs_path, RunRecord, records, "runs")
     aggregates = aggregate_runs(runs)
     write_aggregates_csv(aggregates, out_dir / "aggregates.csv")
     EvalReport(runs=runs, aggregates=aggregates).write_json(out_dir / "report.json")
@@ -268,7 +273,7 @@ def cmd_benchmark(settings: Settings) -> int:
                   f"(n={repetitions})")
             yield row
 
-    write_records_csv(bench_path, StrategyTiming, timings())
+    _stream_csv(bench_path, StrategyTiming, timings(), "strategies")
     print(f"wrote {bench_path}")
     return 0
 
@@ -302,7 +307,7 @@ def cmd_sweep(settings: Settings) -> int:
                   f"communities, {point.num_outliers} outliers")
             yield point
 
-    write_records_csv(sweep_path, SweepPoint, points())
+    _stream_csv(sweep_path, SweepPoint, points(), "grid points")
     print(f"wrote {sweep_path}")
     return 0
 

@@ -5,7 +5,7 @@ and budget."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -81,13 +81,11 @@ def run_strategy(
     seed: int,
     scan_params: ScanParams | None = None,
     pr_params: PageRankParams | None = None,
-    train_cfg: gcn.TrainConfig | None = None,
 ) -> SelectionResult:
     """Dispatch a strategy by name with uniform inputs.
 
     The run seed is recorded on every result (deterministic strategies
-    ignore it for selection); ``train_cfg`` sets the width of uncertainty's
-    cold-start model.
+    ignore it for selection).
     """
     check_strategies([name])
     if name == "spa":
@@ -99,7 +97,7 @@ def run_strategy(
     elif name == "featprop":
         result = featprop_select(g, b=b, seed=seed)
     else:
-        result = uncertainty_select(g, b, seed, train_cfg)
+        result = uncertainty_select(g, b, seed)
     result.seed = seed
     return result
 
@@ -114,9 +112,9 @@ def run_single(
     pr_params: PageRankParams | None = None,
 ) -> RunRecord:
     """One (strategy, budget, seed) run: select, train, evaluate on the rest."""
-    selection = run_strategy(strategy, g, budget, seed, scan_params, pr_params, cfg)
+    selection = run_strategy(strategy, g, budget, seed, scan_params, pr_params)
     selected = np.asarray(selection.selected, dtype=np.int64)
-    model = gcn.train(g, selected, replace(cfg, seed=seed))
+    model = gcn.train(g, selected, cfg, seed)
     preds = gcn.predict(model, g)
     unlabeled = np.ones(g.num_nodes, dtype=bool)
     unlabeled[selected] = False
@@ -167,9 +165,8 @@ def iter_runs(
     The plan is checked on the call, before any run starts: ``check_plan``,
     plus a node left to evaluate on (b < n). The runs happen as the returned
     iterator is consumed. Each run's seed drives both its selection RNG and
-    the model init (``cfg.seed`` is superseded per run). With jobs > 1 the
-    independent runs execute on a process pool; results are still yielded
-    in plan order.
+    the model init. With jobs > 1 the independent runs execute on a process
+    pool; results are still yielded in plan order.
     """
     plan = check_plan(g, strategies, budgets, seeds)
     for b in budgets:

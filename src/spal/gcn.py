@@ -29,6 +29,7 @@ _PROB_FLOOR = 1e-12
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+HIDDEN_UNITS = 16  # the hidden width of Kipf & Welling's GCN (ICLR 2017)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -40,8 +41,6 @@ class TrainConfig:
     learning_rate: float = 1e-2
     weight_decay: float = 5e-4
     epochs: int = 200
-    hidden_units: int = 16
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -53,8 +52,6 @@ class TrainConfig:
                 f"weight_decay must be non-negative and finite, got {self.weight_decay}"
             )
         check_int(self.epochs, "epochs", 1)
-        check_int(self.hidden_units, "hidden_units", 1)
-        check_int(self.seed, "seed", 0)
 
 
 @dataclass(eq=False)
@@ -71,11 +68,12 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_model(num_features: int, num_classes: int, cfg: TrainConfig) -> GcnModel:
-    """Glorot-uniform weights seeded from the config."""
-    rng = np.random.default_rng(cfg.seed)
-    W0 = _glorot(rng, num_features, cfg.hidden_units)
-    return GcnModel(W0, _glorot(rng, cfg.hidden_units, num_classes))
+def init_model(num_features: int, num_classes: int, seed: int = 0) -> GcnModel:
+    """Glorot-uniform weights of width ``HIDDEN_UNITS``, drawn from ``seed``."""
+    check_int(seed, "seed", 0)
+    rng = np.random.default_rng(seed)
+    W0 = _glorot(rng, num_features, HIDDEN_UNITS)
+    return GcnModel(W0, _glorot(rng, HIDDEN_UNITS, num_classes))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -92,8 +90,9 @@ def gcn_forward(model: GcnModel, g: AttributedGraph) -> np.ndarray:
             f"model expects {model.W0.shape[0]} features, graph has {g.features.shape[1]}"
         )
     op = NormalizedAdjacency(g)
-    H1 = np.maximum(op.apply(g.features) @ model.W0, 0.0)
-    probs = _softmax(op.apply(H1) @ model.W1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the row check below reports it
+        H1 = np.maximum(op.apply(g.features) @ model.W0, 0.0)
+        probs = _softmax(op.apply(H1) @ model.W1)
     bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
     if bad.size:
         raise ValueError(f"forward pass output row {bad[0]} is not finite")
@@ -167,14 +166,16 @@ def _adam_step(w, g, m, v, t, lr):
 
 
 def train(
-    g: AttributedGraph, labeled: np.ndarray | set[int], cfg: TrainConfig | None = None
+    g: AttributedGraph, labeled: np.ndarray | set[int], cfg: TrainConfig | None = None,
+    seed: int = 0,
 ) -> GcnModel:
-    """Adam on the labeled cross-entropy for cfg.epochs epochs, each computed
-    on the labeled nodes' 2-hop receptive field. Adam is elementwise, so each
-    epoch makes one step on a flat vector that W0 and W1 are views of."""
+    """Adam on the labeled cross-entropy for cfg.epochs epochs from the
+    ``seed`` init, each computed on the labeled nodes' 2-hop receptive field.
+    Adam is elementwise, so each epoch makes one step on a flat vector that
+    W0 and W1 are views of."""
     cfg = cfg or TrainConfig()
     idx = node_index(labeled, g.num_nodes, "labeled")
-    init = init_model(g.features.shape[1], g.num_classes, cfg)
+    init = init_model(g.features.shape[1], g.num_classes, seed)
     split = init.W0.size
     w = np.concatenate([init.W0.ravel(), init.W1.ravel()])
     model = GcnModel(w[:split].reshape(init.W0.shape), w[split:].reshape(init.W1.shape))

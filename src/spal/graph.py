@@ -207,8 +207,6 @@ def load_graph(
     edge_list_path: str | Path,
     features_path: str | Path,
     labels_path: str | Path,
-    *,
-    normalize_features: bool = False,
 ) -> AttributedGraph:
     """Load an attributed graph from plain-text exports.
 
@@ -219,17 +217,12 @@ def load_graph(
     ``GraphLoadError`` naming the file. Features: one CSV row per node, no
     header. Labels: one non-negative integer per line. Duplicate and
     reversed edges are deduplicated; self-loop lines are dropped and counted
-    in ``self_loops_dropped``. With ``normalize_features`` each feature row
-    is scaled to unit L1 norm (zero rows left untouched).
+    in ``self_loops_dropped``.
     """
     edges, self_loops = _parse_edge_file(Path(edge_list_path))
     features = _loadtxt(features_path, "malformed feature row",
                         delimiter=",", dtype=np.float64, ndmin=2)
     labels = _loadtxt(labels_path, "malformed label line", dtype=np.int64, ndmin=1)
-    if normalize_features:
-        features = features.copy()
-        norms = np.abs(features).sum(axis=1, keepdims=True)
-        np.divide(features, norms, out=features, where=norms > 0)
     return from_edges(edges, features, labels, self_loops_dropped=self_loops)
 
 

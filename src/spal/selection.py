@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -250,16 +250,14 @@ def pagerank_select(
     return SelectionResult("pagerank", b, None, *chosen, sw.ms)
 
 
-def uncertainty_select(
-    g: AttributedGraph, b: int, seed: int = 0, cfg: gcn.TrainConfig | None = None
-) -> SelectionResult:
-    """Top-b nodes by Shannon entropy under an untrained GCN of ``cfg``'s
-    width seeded from ``seed`` (a cold start: every node is a candidate), ties
-    toward the lowest node id; timed from the model init to the ranking."""
+def uncertainty_select(g: AttributedGraph, b: int, seed: int = 0) -> SelectionResult:
+    """Top-b nodes by Shannon entropy under an untrained GCN seeded from
+    ``seed`` (a cold start: every node is a candidate), ties toward the
+    lowest node id; timed from the model init to the ranking."""
     check_budget("uncertainty", b, g.num_nodes)
-    cfg = replace(cfg or gcn.TrainConfig(), seed=seed)
+    check_int(seed, "seed", 0)
     with Stopwatch() as sw:
-        model = gcn.init_model(g.features.shape[1], g.num_classes, cfg)
+        model = gcn.init_model(g.features.shape[1], g.num_classes, seed)
         probs = gcn.gcn_forward(model, g)
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(probs > 0, probs * np.log(probs), 0.0)

@@ -364,7 +364,7 @@ def confusion_metrics(preds, truth, num_classes: int) -> tuple[float, float]:
     return float(acc), float(np.mean(f1s))
 
 
-def train_full_reference(g, labeled, cfg: TrainConfig | None = None):
+def train_full_reference(g, labeled, cfg: TrainConfig | None = None, seed: int = 0):
     """Full-batch trainer: every epoch runs both layers on all n nodes and
     backpropagates an n x C gradient that is zero off the labeled rows. Same
     initialization, Adam steps and summation order per row as ``spal.gcn.train``,
@@ -393,7 +393,7 @@ def train_full_reference(g, labeled, cfg: TrainConfig | None = None):
 
     cfg = cfg or TrainConfig()
     idx = np.asarray(sorted(labeled), dtype=np.int64)
-    model = init_model(g.features.shape[1], g.num_classes, cfg)
+    model = init_model(g.features.shape[1], g.num_classes, seed)
     op = NormalizedAdjacency(g)
     AX = op.apply(g.features)
     m0, v0 = np.zeros_like(model.W0), np.zeros_like(model.W0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import spal
-from spal.cli import _build_parser, _resolve_settings, main
+from spal.cli import _FLAG_OF, _FLAGS, _build_parser, _resolve_settings, main
 from spal.gcn import TrainConfig
 from spal.pagerank import PageRankParams
 from spal.scan import ScanParams
@@ -33,6 +34,17 @@ def graph_files(tmp_path):
 
 
 TWO_TRIANGLES = "sbm:2,6,1.0,0.0,1.0,0"  # two disjoint triangles
+
+
+@pytest.fixture
+def overflowing_files(tmp_path):
+    """4 nodes whose features, near the float64 limit, overflow the GCN's
+    forward pass, so every uncertainty query fails."""
+    paths = (tmp_path / "edges.txt", tmp_path / "features.csv", tmp_path / "labels.txt")
+    paths[0].write_text("0 1\n1 2\n2 3\n0 2\n")
+    paths[1].write_text("1.7e308,-1.7e308,1.7e308\n" * 4)
+    paths[2].write_text("0\n1\n2\n1\n")
+    return ["--edges", str(paths[0]), "--features", str(paths[1]), "--labels", str(paths[2])]
 
 
 def read_rows(path):
@@ -334,7 +346,38 @@ class TestBenchmark:
             "--budgets", "2", "--repetitions", "1e19", "--out", str(tmp_path),
         ])
         assert rc == 1
-        assert capsys.readouterr().err == "error: stop\n"
+        assert capsys.readouterr().err == (
+            f"error: aborted after 0 strategies (partial results in {tmp_path / 'benchmark.csv'}): "
+            "stop\n"
+        )
+
+    def test_strategies_before_a_failing_one_stay_on_disk(self, overflowing_files, capsys):
+        out = Path(overflowing_files[1]).parent / "out"
+        rc = main([
+            "benchmark", *overflowing_files, "--strategy", "random,uncertainty",
+            "--budgets", "2", "--repetitions", "2", "--out", str(out),
+        ])
+        assert rc == 1
+        assert [row["strategy"] for row in read_rows(out / "benchmark.csv")] == ["random"]
+        assert capsys.readouterr().err == (
+            f"error: aborted after 1 strategies (partial results in {out / 'benchmark.csv'}): "
+            "forward pass output row 0 is not finite\n"
+        )
+
+    def test_overflowing_forward_pass_prints_one_error_line(self, overflowing_files):
+        # run outside pytest, so numpy's RuntimeWarnings would reach stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(spal.__file__).parent.parent))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "spal.cli", "benchmark", *overflowing_files,
+                "--strategy", "uncertainty", "--budgets", "2", "--repetitions", "1",
+                "--out", str(Path(overflowing_files[1]).parent / "out"),
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_single_repetition(self, tmp_path, graph_files):
         rc = main([
@@ -392,7 +435,7 @@ class TestSweep:
         assert len(read_rows(tmp_path / "sweep.csv")) == 9
         assert len(calls) == 1
 
-    def test_points_before_a_failing_point_stay_on_disk(self, tmp_path, monkeypatch):
+    def test_points_before_a_failing_point_stay_on_disk(self, tmp_path, monkeypatch, capsys):
         from spal import cli
 
         real_scan_sweep = cli.scan_sweep
@@ -415,6 +458,10 @@ class TestSweep:
             b"epsilon,mu,num_communities,num_outliers,largest_community\r\n0.5,2,2,0,3\r\n"
         ]
         assert (tmp_path / "sweep.csv").read_bytes() == on_disk[0]
+        assert capsys.readouterr().err == (
+            f"error: aborted after 1 grid points (partial results in {tmp_path / 'sweep.csv'}): "
+            "partition failed\n"
+        )
 
     def test_every_grid_point_checked_before_sweep_csv(self, tmp_path, graph_files, capsys):
         rc = main([
@@ -574,6 +621,12 @@ class TestFlags:
         assert settings.params(PageRankParams) == PageRankParams()
         assert settings.params(TrainConfig) == TrainConfig()
 
+    @pytest.mark.parametrize("cls", [ScanParams, PageRankParams, TrainConfig])
+    def test_every_settings_field_is_a_flag(self, cls):
+        # a library setting no flag reaches is one no run can vary
+        for fld in dataclasses.fields(cls):
+            assert _FLAG_OF.get(fld.name, fld.name) in _FLAGS, fld.name
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -591,6 +644,15 @@ def test_readme_examples_parse():
     parser = _build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])  # exits with code 2 on a flag it does not take
+
+
+def test_readme_python_api_runs(capsys):
+    """The Python API example in README.md runs as written."""
+    section = README.read_text(encoding="utf-8").split("## Python API\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    accuracy, macro_f1 = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= accuracy <= 1.0 and 0.0 <= macro_f1 <= 1.0
 
 
 def test_readme_flag_table_matches_parser():

@@ -39,7 +39,7 @@ def _content(record):
 class TestRunStrategy:
     def test_dispatch_names(self, small_sbm):
         for name in ("spa", "random", "pagerank", "uncertainty", "featprop"):
-            res = run_strategy(name, small_sbm, 4, seed=1, train_cfg=FAST)
+            res = run_strategy(name, small_sbm, 4, seed=1)
             assert res.strategy == name
             assert len(res.selected) == 4
 
@@ -48,8 +48,8 @@ class TestRunStrategy:
             run_strategy("banana", small_sbm, 2, seed=0)
 
     def test_uncertainty_deterministic_per_seed(self, small_sbm):
-        a = run_strategy("uncertainty", small_sbm, 5, seed=2, train_cfg=FAST)
-        b = run_strategy("uncertainty", small_sbm, 5, seed=2, train_cfg=FAST)
+        a = run_strategy("uncertainty", small_sbm, 5, seed=2)
+        b = run_strategy("uncertainty", small_sbm, 5, seed=2)
         assert a.selected == b.selected
 
     @pytest.mark.parametrize("b, seed", [(1, 0), (5, 2), (12, 3)])

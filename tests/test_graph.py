@@ -207,12 +207,6 @@ class TestLoadGraph:
         assert np.array_equal(g1.features, g2.features)
         assert np.array_equal(g1.labels, g2.labels)
 
-    def test_normalize_features_flag(self, tmp_path):
-        paths = write_files(tmp_path, "0 1\n", "2.0,2.0\n0.0,0.0\n", "0\n0\n")
-        g = load_graph(*paths, normalize_features=True)
-        assert np.allclose(g.features[0], [0.5, 0.5])
-        assert np.allclose(g.features[1], [0.0, 0.0])  # zero row untouched
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_names_row(self, bad):
         with pytest.raises(GraphLoadError, match="row 1 "):
