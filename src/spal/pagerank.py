@@ -6,7 +6,9 @@ blocks still iterating, with its rows in ascending length, and scores
 bit-identical to a per-edge ``np.bincount`` scatter in id order. A block
 settles when its L1 step in id order drops below the tolerance; the loop
 tests a cheaper sum in its own order, within proven bounds, and adds in id
-order only when that sum cannot decide (see ``_power_iterate``). The
+order only when that sum cannot decide. A settled block's scores are
+written out as it settles, and its rows are dropped from the product at
+the next compaction (see ``_power_iterate``). The
 batched form, ``pagerank_partition``, takes the partition as flat labels,
 returns flat arrays, and iterates blocks that repeat another's size and
 local adjacency only once (see ``_repeated_blocks``); ``pagerank_blocks``
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import AttributedGraph, check_int, node_index
+from .graph import AttributedGraph, check_int, node_index, stable_argsort
 
 
 @dataclass(frozen=True)
@@ -51,16 +53,17 @@ class ScoreVector:
 
 
 # Compact the working set once its live share drops below this fraction;
-# until then a settled block stays in the product, masked to hold still.
-# Neither mechanism alone pays. The block pass, medians of 15 alternating
-# in-process calls in each of two processes (2 vCPU guest):
+# until then a settled block's rows stay in the product and drift, unread,
+# its scores already written. Neither compacting at every settle nor never
+# compacting pays. The block pass, medians of 15-21 alternating in-process
+# calls, in three processes (fixture) or two (SBM), 2 vCPU guest:
 # - the 65,834 members in 14,431 SCAN communities (epsilon 0.3, mu 2) of a
-#   1e5-node heavy-tailed graph: 114 ms at 0.9, 116 ms at 0.97, 130-131 ms
-#   at 0.99, 132 ms at 0.75, 221 ms when compacting at every settle and
-#   140-141 ms when never compacting;
+#   1e5-node heavy-tailed graph: 111-117 ms at 0.9, 115-118 ms at 0.75,
+#   118-125 ms at 0.97, 235-243 ms when compacting at every settle and
+#   120-125 ms when never compacting;
 # - the 3,105 members in 25 communities (epsilon 0.3, mu 2) of
-#   sbm:6,3327,0.003,0.0004,1.0,42: 7.6-8.5 ms from 0.75 to 0.99, 7.8-8.9 ms
-#   when compacting at every settle and 12.3-13.0 ms when never compacting.
+#   sbm:6,3327,0.003,0.0004,1.0,42: 7.6-8.1 ms from 0.75 to 0.97, 7.8-8.1 ms
+#   when compacting at every settle and 12.0-12.8 ms when never compacting.
 _COMPACT_BELOW = 0.9
 
 
@@ -132,10 +135,7 @@ def _by_length(
     scipy's constructor would make them."""
     total = indptr.size - 1
     lengths = np.diff(indptr)
-    # a stable sort of 16-bit keys is a radix sort: 0.9 ms against 4.5 ms
-    # for int64 keys on the benchmark's 1e5 rows
-    keys = lengths.astype(np.uint16) if lengths.max(initial=0) < 2**16 else lengths
-    order = np.argsort(keys, kind="stable")
+    order = stable_argsort(lengths)
     dtype = np.int32 if max(indices.size, total) < 2**31 else np.int64
     work_indptr = np.zeros(total + 1, dtype=dtype)
     np.cumsum(lengths[order], out=work_indptr[1:])
@@ -202,11 +202,14 @@ def _power_iterate(
     Row i of the unit-weight CSR M over ``indptr``/``indices`` is the i-th
     node in ascending id order and ``block_of[i]`` (in 0..k-1) its block;
     no edge leaves a block. Each iteration is one product ``M @ (pr / deg)``
-    restricted to the blocks still iterating: a block freezes once its own
+    restricted to the blocks still iterating: a block settles once its own
     L1 step drops below the tolerance, so its result does not depend on the
-    other blocks. Frozen blocks are masked until the live share of the
-    working set falls below ``_COMPACT_BELOW``; then M and the per-row
-    arrays are cut down to the live rows.
+    other blocks. Its scores are written to the result in the iteration it
+    settles. Its rows stay in the product, and keep iterating unread, until
+    the live share of the working set falls below ``_COMPACT_BELOW``; then
+    M and the per-row arrays are cut down to the live rows. No edge leaves
+    a block, so no other block reads a settled block's drifting rows.
+    After the loop only the blocks that never settled are written.
 
     The loop runs on M with its rows in ascending length (``_by_length``):
     the product's inner loop then runs the same trip count row after row.
@@ -251,7 +254,6 @@ def _power_iterate(
     contrib, change = np.empty(total), np.empty(total)  # per-iteration scratch
     scores = np.empty(total)
     active = np.ones(k, dtype=bool)
-    frozen = None  # rows of settled blocks still in the working set
     converged = np.zeros(k, dtype=bool)
     iterations = np.full(k, params.max_iterations, dtype=np.int64)
 
@@ -262,11 +264,11 @@ def _power_iterate(
             dangling_mass = np.bincount(
                 block_of[:n_dangling], weights=pr[:n_dangling], minlength=k
             )
-            nxt += ((1.0 - d) / n_block + d * dangling_mass / n_block)[block_of]
+            spread = (1.0 - d) / n_block + d * dangling_mass / n_block
+            # one block adds its one value as a scalar: the same addition
+            nxt += spread[0] if k == 1 else spread[block_of]
         else:
             nxt += teleport
-        if frozen is not None:
-            np.copyto(nxt, pr, where=frozen)  # frozen blocks hold still
         np.abs(np.subtract(nxt, pr, out=change), out=change)
         if k == 1:
             step = change.sum(keepdims=True)
@@ -285,21 +287,21 @@ def _power_iterate(
         iterations[settled] = it
         converged |= settled
         active &= ~settled
+        done = settled[block_of]  # their rows drift from here on, unread
+        scores[rows[done]] = pr[done]
         if not active.any():
             break
         live = active[block_of]
         if np.count_nonzero(live) >= _COMPACT_BELOW * live.size:
-            frozen = ~live
             continue
-        frozen = None
-        scores[rows[~live]] = pr[~live]
         m = _unit_csr(*_keep_rows(m.indptr, m.indices, live), np.count_nonzero(live))
         n_dangling = int(np.count_nonzero(live[:n_dangling]))
         rows, pr, block_of, safe_deg = rows[live], pr[live], block_of[live], safe_deg[live]
         if teleport is not None:
             teleport = teleport[live]
         contrib, change = contrib[: rows.size], change[: rows.size]
-    scores[rows] = pr
+    capped = active[block_of]  # the blocks that never settled
+    scores[rows[capped]] = pr[capped]
     return scores, iterations, converged
 
 
@@ -354,7 +356,7 @@ def _repeated_blocks(
     positions are adjacent.
     """
     k, total = sizes.size, block_of.size
-    order = np.argsort(block_of, kind="stable")  # rows by block, ascending within each
+    order = stable_argsort(block_of)  # rows by block, ascending within each
     starts = np.cumsum(sizes) - sizes
     local = np.empty(total, dtype=np.int64)
     local[order] = np.arange(total) - np.repeat(starts, sizes)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import AttributedGraph, check_int
+from .graph import AttributedGraph, check_int, stable_argsort
 from .output import write_csv
 
 
@@ -95,12 +95,16 @@ def _edge_overlap(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     most m·sqrt(2m)/2 wedges, each in O(log m) bisection steps, and
     nothing in it depends on epsilon or mu. Wedges are checked about
     ``_LOOKUP_CHUNK`` at a time (one out-edge's wedges stay together).
+    Each chunk keeps the three edges of each of its closed wedges, and one
+    ``np.bincount`` of length m counts them all after the last chunk: the
+    counting is O(m), done once, plus one entry per closed wedge, so the
+    O(m·sqrt(m)) bound holds at any chunk size.
     """
     n = g.num_nodes
     targets, deg = g.csr_targets, g.degrees
     src = np.repeat(np.arange(n, dtype=np.int64), deg)
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    rank[stable_argsort(deg)] = np.arange(n)
     out = np.flatnonzero(rank[src] < rank[targets])
     out_src = src[out]
     del src  # the dels here keep SCAN's peak memory down
@@ -115,7 +119,7 @@ def _edge_overlap(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     longest = int(np.diff(out_offsets).max()) if m else 0
     # halving steps from the top power of two <= longest; they sum to >= longest
     steps = [1 << k for k in reversed(range(longest.bit_length()))]
-    triangles = np.zeros(m, dtype=np.int64)
+    credited = [np.empty(0, dtype=np.int64)]  # the three edges of each closed wedge
     start, done = 0, 0
     total = int(ends[-1]) if m else 0
     while done < total:
@@ -138,10 +142,10 @@ def _edge_overlap(g: AttributedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
             below &= np.take(out_dst, probe - 1, mode="clip") < hi
             pos = np.where(below, probe, pos)
         closed = (pos < row_end) & (np.take(out_dst, pos, mode="clip") == hi)
-        credit = np.bincount(np.concatenate([x[closed], y[closed], pos[closed]]))
-        triangles[: credit.size] += credit
+        credited += [x[closed], y[closed], pos[closed]]
         start, done = stop, int(ends[stop - 1])
 
+    triangles = np.bincount(np.concatenate(credited), minlength=m)
     triangles += 2
     return out_src, out_dst, triangles
 

@@ -267,6 +267,19 @@ class TestEvaluate:
         assert [(r["strategy"], r["seed"]) for r in on_disk[0]] == [("random", "0")]
         assert read_rows(tmp_path / "runs.csv") == on_disk[0]
 
+    def test_unopenable_runs_csv_is_not_called_partial(self, tmp_path, capsys):
+        runs_path = tmp_path / "runs.csv"
+        runs_path.mkdir()  # a directory where the file should go
+        rc = main([
+            "evaluate", "--synthetic", "sbm:2,6,1.0,0.0,1.0,0", "--strategy", "random",
+            "--budgets", "2", "--epochs", "2", "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {runs_path}: ")
+        assert "Is a directory" in err and "partial" not in err
+        assert err.count("\n") == 1
+
     def test_non_finite_lr_rejected_before_training(self, tmp_path, graph_files, capsys):
         # nan used to pass the config check and surface only as divergence
         rc = main([

@@ -1,6 +1,7 @@
 """No per-graph or per-run path of spal calls ``np.unique``, ``np.isin``,
-``np.setdiff1d`` or ``np.union1d``, and PageRank decides convergence from
-its fast estimate alone at default settings.
+``np.setdiff1d`` or ``np.union1d``, PageRank decides convergence from its
+fast estimate alone at default settings, and SCAN counts its triangles
+once, not once per wedge chunk.
 
 On numpy 2.x ``np.unique`` takes a hash-based path that is an order of
 magnitude slower than the one sort of ``graph.sorted_unique`` (its
@@ -20,6 +21,7 @@ import pytest
 
 from spal import gcn
 from spal import pagerank as pagerank_module
+from spal import scan as scan_module
 from spal import selection as selection_module
 from spal.cli import main
 from spal.experiment import run_single
@@ -122,3 +124,29 @@ def test_pagerank_convergence_needs_no_exact_sum(monkeypatch):
     blocks = pagerank_partition(g, scan_partition(g, ScanParams(0.3, 2)).community_of)
     assert blocks.iterations.max() == 363
     assert len(calls) == 0
+
+
+def test_scan_counts_triangles_once(g, monkeypatch):
+    """SCAN's triangle counts come from one ``np.bincount`` of length m after
+    its wedge chunks, not one per chunk: with one wedge per chunk, the arrays
+    ``np.bincount`` returns to ``spal.scan`` over one edge pass hold at most
+    n + m + 1 entries in all (the out-degree count, the triangle count and
+    slack), where a count per chunk would hold up to m per chunk."""
+    expected = scan_module._edge_overlap(g)
+    returned = []
+    real = np.bincount
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if sys._getframe(1).f_globals.get("__name__") == "spal.scan":
+            returned.append(out.size)
+        return out
+
+    monkeypatch.setattr(scan_module, "_LOOKUP_CHUNK", 1)
+    monkeypatch.setattr(np, "bincount", counting)
+    got = scan_module._edge_overlap(g)
+    m = expected[0].size
+    assert len(returned) >= 2
+    assert sum(returned) <= g.num_nodes + m + 1
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)

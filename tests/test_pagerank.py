@@ -202,7 +202,8 @@ def assert_matches_reference(g, blocks, params):
 
 class TestMatchesLockstepReference:
     """The CSR loop reproduces the per-edge bincount loop to the bit,
-    whether settled blocks are masked in place or compacted away."""
+    whether settled blocks stay in the product, drifting, or are compacted
+    away."""
 
     # 0.0 never compacts, 2.0 compacts at every settle
     @pytest.fixture(params=[0.0, 0.9, 2.0], autouse=True)
@@ -242,6 +243,48 @@ class TestMatchesLockstepReference:
             assert np.array_equal(sv.scores, scores)
             assert sv.iterations_used == iterations[0]
             assert sv.converged == converged[0]
+
+
+class TestSettledBlocksDrift:
+    """A settled block's rows keep iterating, unread, until a compaction
+    drops them; its scores are the ones of the iteration it settled in.
+    Never compacting and a loose tolerance let them drift far for the
+    whole run."""
+
+    PARAMS = PageRankParams(tolerance=1e-3)
+
+    @pytest.fixture(autouse=True)
+    def never_compact(self, monkeypatch):
+        monkeypatch.setattr(pagerank_module, "_COMPACT_BELOW", 0.0)
+
+    @pytest.fixture
+    def fast_and_slow(self):
+        # a triangle with a pendant settles fast; a bipartite path oscillates
+        path = [(i, i + 1) for i in range(4, 43)]
+        return make_graph([(0, 1), (1, 2), (0, 2), (0, 3), *path]), [range(4), range(4, 44)]
+
+    def test_matches_reference(self, fast_and_slow):
+        g, blocks = fast_and_slow
+        iterations, converged = assert_matches_reference(g, blocks, self.PARAMS)
+        assert converged.all() and iterations[0] < iterations[1]
+
+    def test_matches_reference_with_the_slow_block_capped(self, fast_and_slow):
+        g, blocks = fast_and_slow
+        settle = pagerank_blocks(g, blocks, self.PARAMS)
+        cap = settle[1].iterations_used - 1
+        assert settle[0].iterations_used < cap
+        params = PageRankParams(tolerance=1e-3, max_iterations=cap)
+        iterations, converged = assert_matches_reference(g, blocks, params)
+        assert converged.tolist() == [True, False] and iterations[1] == cap
+
+    @pytest.mark.parametrize("params", [PageRankParams(), PageRankParams(max_iterations=7)])
+    def test_one_block_with_dangling_nodes(self, params):
+        # a star plus isolated nodes: one block, its spread added as a scalar
+        g = make_graph(star_edges(5), num_nodes=9)
+        scores, iterations, converged = block_power_reference(g, [np.arange(9)], params)
+        sv = pagerank(g, params=params)
+        assert np.array_equal(sv.scores, scores)
+        assert (sv.iterations_used, sv.converged) == (iterations[0], converged[0])
 
 
 @pytest.fixture
