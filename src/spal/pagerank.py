@@ -7,12 +7,13 @@ bit-identical to a per-edge ``np.bincount`` scatter in id order. A block
 settles when its L1 step in id order drops below the tolerance; the loop
 tests a cheaper sum in its own order, within proven bounds, and adds in id
 order only when that sum cannot decide. A settled block's scores are
-written out as it settles, and its rows are dropped from the product at
-the next compaction (see ``_power_iterate``). The
-batched form, ``pagerank_partition``, takes the partition as flat labels,
-returns flat arrays, and iterates blocks that repeat another's size and
-local adjacency only once (see ``_repeated_blocks``); ``pagerank_blocks``
-is its list form. On large graphs ``spa_select`` runs ``pagerank`` on a
+written out as it settles, through a list of each block's rows, so a
+settle touches only those rows; its rows are dropped from the product at
+the next compaction (see ``_power_iterate``). The batched form,
+``pagerank_partition``, takes the partition as flat labels, returns flat
+arrays, and iterates blocks that repeat another's size and local
+adjacency only once (see ``_repeated_blocks``); ``pagerank_blocks`` is
+its list form. On large graphs ``spa_select`` runs ``pagerank`` on a
 worker thread beside SCAN and the block pass."""
 
 from __future__ import annotations
@@ -105,17 +106,25 @@ def _induced_csr(
     return indptr, pos[g.csr_targets[kept]].astype(np.int64)
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[0], ..., starts[0] + counts[0] - 1, then the same for each
+    later (start, count) pair, as one int64 array; at least one pair."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+
+
 def _keep_rows(
     indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of the rows ``keep`` selects, columns renumbered in
-    the order kept, in the dtype given; every kept row's columns must be
-    kept rows."""
-    lengths = np.diff(indptr)
-    new_row = np.cumsum(keep, dtype=indices.dtype) - 1
-    kept_indptr = np.zeros(new_row[-1] + 2, dtype=indptr.dtype)
-    np.cumsum(lengths[keep], out=kept_indptr[1:])
-    return kept_indptr, new_row[indices[np.repeat(keep, lengths)]]
+    """(indptr, indices) of the rows ``keep`` (ascending row ids) names,
+    columns renumbered in the order kept, in the dtype given; every kept
+    row's columns must be kept rows."""
+    lengths = np.diff(indptr)[keep]
+    kept_indptr = np.zeros(keep.size + 1, dtype=indptr.dtype)
+    np.cumsum(lengths, out=kept_indptr[1:])
+    new_row = np.empty(indptr.size - 1, dtype=indices.dtype)
+    new_row[keep] = np.arange(keep.size, dtype=indices.dtype)
+    return kept_indptr, new_row[indices[_ranges(indptr[keep], lengths)]]
 
 
 # The renumbered columns are written this many CSR entries at a time, so no
@@ -205,11 +214,15 @@ def _power_iterate(
     restricted to the blocks still iterating: a block settles once its own
     L1 step drops below the tolerance, so its result does not depend on the
     other blocks. Its scores are written to the result in the iteration it
-    settles. Its rows stay in the product, and keep iterating unread, until
-    the live share of the working set falls below ``_COMPACT_BELOW``; then
-    M and the per-row arrays are cut down to the live rows. No edge leaves
-    a block, so no other block reads a settled block's drifting rows.
-    After the loop only the blocks that never settled are written.
+    settles, through a list of the working rows grouped by block (a start
+    and a count per block), so a settle touches only its blocks' rows and
+    the live-row count is a running number. Its rows stay in the product,
+    and keep iterating unread, until the live share of the working set
+    falls below ``_COMPACT_BELOW``; then M, the per-row arrays and the row
+    lists are cut down to the live rows. No edge leaves a block, so no
+    other block reads a settled block's drifting rows. After the loop only
+    the blocks that never settled are written. One block (the whole-graph
+    ``pagerank``) keeps no row list and writes all its rows at once.
 
     The loop runs on M with its rows in ascending length (``_by_length``):
     the product's inner loop then runs the same trip count row after row.
@@ -231,9 +244,10 @@ def _power_iterate(
     per-block converged flags).
     """
     total = block_of.size
-    n_block = np.bincount(block_of).astype(np.float64)
+    count = np.bincount(block_of)  # rows per block
+    n_block = count.astype(np.float64)
     k = n_block.size
-    below, above = _decisive_bounds(params.tolerance, int(n_block.max()))
+    below, above = _decisive_bounds(params.tolerance, int(count.max()))
     rows, indptr, indices = _by_length(indptr, indices)  # working row -> input row
     block_of = block_of[rows]
     m = _unit_csr(indptr, indices, total)
@@ -256,7 +270,19 @@ def _power_iterate(
     active = np.ones(k, dtype=bool)
     converged = np.zeros(k, dtype=bool)
     iterations = np.full(k, params.max_iterations, dtype=np.int64)
+    # Block b's working rows are by_block[start[b]:start[b] + count[b]], so a
+    # settle writes only its blocks' rows. One block keeps no such list.
+    if k > 1:
+        by_block = stable_argsort(block_of)
+        start = np.cumsum(count) - count
 
+    def write(blocks: np.ndarray) -> int:
+        """Write the scores of the blocks ``blocks`` names; their row count."""
+        w = by_block[_ranges(start[blocks], count[blocks])] if k > 1 else slice(None)
+        scores[rows[w]] = pr[w]
+        return int(count[blocks].sum())
+
+    n_live = total
     for it in range(1, params.max_iterations + 1):
         nxt = m @ np.divide(pr, safe_deg, out=contrib)
         nxt *= d
@@ -287,21 +313,27 @@ def _power_iterate(
         iterations[settled] = it
         converged |= settled
         active &= ~settled
-        done = settled[block_of]  # their rows drift from here on, unread
-        scores[rows[done]] = pr[done]
-        if not active.any():
+        n_live -= write(np.flatnonzero(settled))  # their rows drift from here on, unread
+        if not n_live:
             break
-        live = active[block_of]
-        if np.count_nonzero(live) >= _COMPACT_BELOW * live.size:
+        if n_live >= _COMPACT_BELOW * rows.size:
             continue
-        m = _unit_csr(*_keep_rows(m.indptr, m.indices, live), np.count_nonzero(live))
+        # the live rows (under 90%) lie scattered in length order: one mask,
+        # read once, and every per-row array gathered by index
+        live = active[block_of]
+        keep = np.flatnonzero(live)
+        m = _unit_csr(*_keep_rows(m.indptr, m.indices, keep), keep.size)
         n_dangling = int(np.count_nonzero(live[:n_dangling]))
-        rows, pr, block_of, safe_deg = rows[live], pr[live], block_of[live], safe_deg[live]
+        rows, pr, block_of, safe_deg = rows[keep], pr[keep], block_of[keep], safe_deg[keep]
         if teleport is not None:
-            teleport = teleport[live]
-        contrib, change = contrib[: rows.size], change[: rows.size]
-    capped = active[block_of]  # the blocks that never settled
-    scores[rows[capped]] = pr[capped]
+            teleport = teleport[keep]
+        contrib, change = contrib[:n_live], change[:n_live]
+        new_row = np.cumsum(live) - 1
+        open_blocks = np.flatnonzero(active)
+        by_block = new_row[by_block[_ranges(start[open_blocks], count[open_blocks])]]
+        start[open_blocks] = np.cumsum(count[open_blocks]) - count[open_blocks]
+    if n_live:
+        write(np.flatnonzero(active))  # the blocks that never settled
     return scores, iterations, converged
 
 
@@ -411,8 +443,8 @@ def pagerank_partition(
     indptr, indices = _induced_csr(g, nodes, block_of)
     source, copy_from = _repeated_blocks(indptr, indices, block_of, sizes)
     iterated = source == np.arange(sizes.size)
-    keep = iterated[block_of]
-    if not keep.all():
+    keep = np.flatnonzero(iterated[block_of])  # scattered: gathered by index
+    if keep.size < nodes.size:
         indptr, indices = _keep_rows(indptr, indices, keep)
     block_id = np.cumsum(iterated) - 1
     scores = np.empty(nodes.size)

@@ -60,7 +60,9 @@ def check_budget(name: str, b: int, num_nodes: int) -> None:
 
 def _rank_order(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Positions that order ``scores`` descending, exact ties toward the
-    lowest id. Every score-ordered pick in this module ranks through here."""
+    lowest id. Every ranking in this module sorts through here; spa's
+    representatives, which need only each community's top, follow the same
+    rule without a sort (see ``spa_select``)."""
     return np.lexsort((ids, -scores))
 
 
@@ -137,12 +139,14 @@ def _warn_unconverged(
 # the GIL back and forth, which costs more than the overlap saves on small
 # graphs. spa_select at b=20, epsilon 0.3, mu 2 on DC-SBM draws with 4
 # edges per node (the benchmark's shape), medians of 21 alternating calls,
-# one figure per sweep (2 vCPU guest), serial -> overlapped, ms:
+# one figure per sweep (2 vCPU guest), serial -> overlapped, ms. The rows
+# from 40,000 to 120,000 were re-measured once SCAN's selects and the block
+# pass's settles had shortened the caller's path, on draws with seeds 0-2:
 #    20,000 entries   18 -> 22, 24 -> 29
-#    40,000           25 -> 32, 33 -> 36
-#    60,000           58 -> 48, 57 -> 54
-#    80,000           67 -> 57, 45 -> 41, 53 -> 51, 68 -> 56, 69 -> 61
-#   120,000           77 -> 67, 60 -> 56, 71 -> 65, 73 -> 63, 95 -> 71
+#    40,000           19 -> 19, 19 -> 19, 19 -> 19, 18 -> 19, 17 -> 17, 17 -> 18
+#    60,000           22 -> 23, 23 -> 24, 27 -> 27, 22 -> 23, 24 -> 24, 24 -> 24
+#    80,000           30 -> 31, 30 -> 31, 30 -> 31, 33 -> 28, 29 -> 27, 30 -> 27
+#   120,000           42 -> 43, 42 -> 43, 42 -> 44, 41 -> 37, 41 -> 34, 39 -> 33
 #   160,000           86 -> 71, 79 -> 64, 92 -> 73, 118 -> 89, 126 -> 92
 #   200,000          133 -> 110, 128 -> 101, 168 -> 117, 174 -> 122, 150 -> 110
 #   240,000          113 -> 86, 132 -> 99, 152 -> 108
@@ -150,8 +154,11 @@ def _warn_unconverged(
 #   320,000          160 -> 121, 169 -> 127, 154 -> 119
 #   400,000          282 -> 191, 213 -> 160, 323 -> 213
 #   800,000          479 -> 318, 445 -> 307, 559 -> 347 (the benchmark's graph)
-# From 80,000 entries up every sweep gained (4-42%); at 40,000 and below
-# every sweep lost.
+# That re-measure split by how busy the host's second vCPU was. When it
+# was busy, overlapping lost 1-3 ms at every size up to 160,000 entries
+# (53 -> 56, 54 -> 57, 57 -> 60 there); when it was free, it gained 7-18%
+# from 80,000 to 120,000 entries and about 20% at 160,000 (51 -> 41,
+# 49 -> 40, 52 -> 42). At 60,000 and below no sweep gained.
 _OVERLAP_FROM = 80_000
 
 
@@ -184,9 +191,13 @@ def spa_select(
 ) -> SelectionResult:
     """Pick each community's top PageRank node, then top up globally.
 
-    Communities come from the structural partition; each contributes the
-    node with the highest PageRank on its induced subgraph (ties toward the
-    lowest node id). The picks are the first b of one order: the
+    Communities come from the structural partition; each contributes its
+    representative: the node with the highest PageRank on its induced
+    subgraph, exact ties toward the lowest node id. That is the rule of
+    ``_rank_order``, found per community with ``np.maximum.at`` and
+    ``np.minimum.at`` instead of a sort of every member (0.43 ms against
+    4.8 ms for the 65,834 members of the benchmark graph's 14,431
+    communities). The picks are the first b of one order: the
     representatives by global PageRank, then every other node by global
     PageRank, so the picks at budget b are a subset of those at b + 1. A
     representative carries its block score and community id, any other
@@ -201,16 +212,21 @@ def spa_select(
     with Stopwatch() as sw:
         assignment, blocks, global_sv = _partition_and_pagerank(g, scan_params, pr_params)
         nodes, block_scores = blocks.node_ids, blocks.scores
-        # a community's first member in rank order is its representative
-        ranked = _rank_order(block_scores, nodes)
-        first = np.full(assignment.num_communities, ranked.size, dtype=np.int64)
-        np.minimum.at(first, assignment.community_of[nodes[ranked]], np.arange(ranked.size))
-        reps = nodes[ranked[first]]  # reps[c] represents community c
+        # each community's top block score, then its lowest tied position:
+        # nodes ascend, so that is its lowest tied id (the equality mask
+        # follows the data, so it is read through flatnonzero)
+        member_of = assignment.community_of[nodes]
+        top = np.full(assignment.num_communities, -np.inf)
+        np.maximum.at(top, member_of, block_scores)
+        tied = np.flatnonzero(block_scores == top[member_of])
+        first = np.full(top.size, nodes.size, dtype=np.int64)
+        np.minimum.at(first, member_of[tied], tied)
+        reps = nodes[first]  # reps[c] represents community c
 
         # per node: the selection score, and the community it represents or -1
         global_scores = global_sv.scores
         score, community = global_scores.copy(), np.full(g.num_nodes, -1)
-        score[reps] = block_scores[ranked[first]]
+        score[reps] = block_scores[first]
         community[reps] = np.arange(reps.size)
         order = reps[_rank_order(global_scores[reps], reps)]
         # the rest is ranked only for a budget that reaches it: on 1e5 random

@@ -1,7 +1,7 @@
 """No per-graph or per-run path of spal calls ``np.unique``, ``np.isin``,
-``np.setdiff1d`` or ``np.union1d``, PageRank decides convergence from its
-fast estimate alone at default settings, and SCAN counts its triangles
-once, not once per wedge chunk.
+``np.setdiff1d`` or ``np.union1d``, spa's hot loops call no ``np.where``,
+PageRank decides convergence from its fast estimate alone at default
+settings, and SCAN counts its triangles once, not once per wedge chunk.
 
 On numpy 2.x ``np.unique`` takes a hash-based path that is an order of
 magnitude slower than the one sort of ``graph.sorted_unique`` (its
@@ -67,6 +67,28 @@ def test_guard_catches_a_direct_call():
         with pytest.raises(AssertionError, match=f"np.{name} called from spal.planted"):
             caller.f(np.arange(3))
     assert np.isin(np.arange(3), [1]).sum() == 1  # calls from outside spal pass
+
+
+HOT_LOOPS = ("_edge_overlap", "scan_sweep", "_power_iterate", "_keep_rows", "spa_select")
+
+
+def test_hot_loops_call_no_where(g, monkeypatch):
+    """``np.where`` branches once per element on a data-dependent mask, 3-5x
+    slower than an arithmetic select (see ``graph.stable_argsort``), so
+    the functions in ``HOT_LOOPS`` do without it."""
+    real = np.where
+
+    def guarded(*args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in HOT_LOOPS:
+            raise AssertionError(f"np.where called from {caller}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "where", guarded)
+    assignment = scan_partition(g, PARAMS)
+    pagerank_partition(g, assignment.community_of)
+    k = assignment.num_communities
+    assert len(spa_select(g, PARAMS, b=k + 1).selected) == k + 1
 
 
 def test_load_and_build(g, tmp_path):

@@ -199,6 +199,24 @@ class TestSpaMatchesReference:
                 d.pop("query_time_ms")
             assert list(got.items()) == list(want.items()), (name, b)
 
+    def test_thousands_of_tied_representatives(self):
+        # not in SPA_CASES: the nesting test would run ~800 budgets on it
+        g, params = heavy_tailed_graph(), ScanParams(0.3, 2)
+        assignment = scan_partition(g, params)
+        blocks = pagerank_partition(g, assignment.community_of)
+        member_of = assignment.community_of[blocks.node_ids]
+        top = np.full(assignment.num_communities, -np.inf)
+        np.maximum.at(top, member_of, blocks.scores)
+        at_top = np.bincount(member_of[blocks.scores == top[member_of]])
+        assert np.count_nonzero(at_top > 1) >= 1000  # exact ties for the top score
+        k = assignment.num_communities
+        for b in (k - 1, k, k + 1):
+            got = spa_select(g, params, b=b).to_dict()
+            want = spa_select_reference(g, params, b=b).to_dict()
+            for d in (got, want):
+                d.pop("query_time_ms")
+            assert list(got.items()) == list(want.items()), b
+
     def test_cases_cover_every_path(self):
         k = {name: scan_partition(*case).num_communities for name, case in SPA_CASES.items()}
         assert k["star-no-communities"] == k["sbm-eps1"] == 0
