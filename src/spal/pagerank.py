@@ -55,16 +55,17 @@ class ScoreVector:
 
 # Compact the working set once its live share drops below this fraction;
 # until then a settled block's rows stay in the product and drift, unread,
-# its scores already written. Neither compacting at every settle nor never
-# compacting pays. The block pass, medians of 15-21 alternating in-process
-# calls, in three processes (fixture) or two (SBM), 2 vCPU guest:
+# their scores already written. Neither compacting at every settle nor never
+# compacting pays. The block pass, medians of 9-21 alternating in-process
+# calls, 2 vCPU guest, re-measured once a settle wrote only its blocks' rows:
 # - the 65,834 members in 14,431 SCAN communities (epsilon 0.3, mu 2) of a
-#   1e5-node heavy-tailed graph: 111-117 ms at 0.9, 115-118 ms at 0.75,
-#   118-125 ms at 0.97, 235-243 ms when compacting at every settle and
-#   120-125 ms when never compacting;
+#   1e5-node heavy-tailed graph, two processes: 92-93 ms at 0.5, 93-98 ms
+#   at 0.75, 94-96 ms at 0.9, 110 ms at 0.97, 299-302 ms when compacting at
+#   every settle and 99-100 ms when never compacting;
 # - the 3,105 members in 25 communities (epsilon 0.3, mu 2) of
-#   sbm:6,3327,0.003,0.0004,1.0,42: 7.6-8.1 ms from 0.75 to 0.97, 7.8-8.1 ms
-#   when compacting at every settle and 12.0-12.8 ms when never compacting.
+#   sbm:6,3327,0.003,0.0004,1.0,42: 7.7-8.0 ms from 0.5 to 0.97, 8.4 ms
+#   when compacting at every settle and 12.0 ms when never compacting.
+# 0.5 to 0.9 are within noise of each other; 0.9 stays.
 _COMPACT_BELOW = 0.9
 
 
@@ -318,8 +319,9 @@ def _power_iterate(
             break
         if n_live >= _COMPACT_BELOW * rows.size:
             continue
-        # the live rows (under 90%) lie scattered in length order: one mask,
-        # read once, and every per-row array gathered by index
+        # the live rows (under _COMPACT_BELOW of them) lie scattered in
+        # length order: one mask, read once, and every per-row array
+        # gathered by index
         live = active[block_of]
         keep = np.flatnonzero(live)
         m = _unit_csr(*_keep_rows(m.indptr, m.indices, keep), keep.size)

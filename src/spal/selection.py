@@ -155,9 +155,11 @@ def _warn_unconverged(
 #   400,000          282 -> 191, 213 -> 160, 323 -> 213
 #   800,000          479 -> 318, 445 -> 307, 559 -> 347 (the benchmark's graph)
 # That re-measure split by how busy the host's second vCPU was. When it
-# was busy, overlapping lost 1-3 ms at every size up to 160,000 entries
-# (53 -> 56, 54 -> 57, 57 -> 60 there); when it was free, it gained 7-18%
-# from 80,000 to 120,000 entries and about 20% at 160,000 (51 -> 41,
+# was busy, overlapping lost 1-4 ms at every size up to 160,000 entries
+# (53 -> 56, 54 -> 57, 57 -> 60 there; a second busy run read 33 -> 35,
+# 31 -> 34, 33 -> 35 at 80,000, 45 -> 47, 49 -> 50, 45 -> 48 at 120,000
+# and 58 -> 61, 60 -> 64, 61 -> 65 at 160,000); when it was free, it gained
+# 7-18% from 80,000 to 120,000 entries and about 20% at 160,000 (51 -> 41,
 # 49 -> 40, 52 -> 42). At 60,000 and below no sweep gained.
 _OVERLAP_FROM = 80_000
 
